@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace faascache {
 
@@ -86,8 +87,12 @@ GreedyDualPolicy::touch(Container& container, const FunctionSpec& function)
     assert(characteristics_[function.id].size > 0.0);
     container.setPolicyClock(clock_);
     container.setPriority(clock_ + valueTerm(function.id));
-    if (config_.eviction_engine == GdEvictionEngine::LazyHeap)
-        pushEntry(container);
+    if (config_.eviction_engine == GdEvictionEngine::LazyHeap) {
+        // Drivers start the invocation before this hook, so busyUntil is
+        // set: the container waits outside the priority heap until then.
+        parkEntry(container, claimSeq(container.poolSlot()));
+        maybeCompact();
+    }
 }
 
 void
@@ -128,6 +133,20 @@ GreedyDualPolicy::entryAfter(const HeapEntry& a, const HeapEntry& b)
                         a.last_used, a.id);
 }
 
+bool
+GreedyDualPolicy::parkedAfter(const ParkedEntry& a, const ParkedEntry& b)
+{
+    if (a.busy_until != b.busy_until)
+        return a.busy_until > b.busy_until;
+    return a.id > b.id;
+}
+
+bool
+GreedyDualPolicy::isLive(std::uint32_t slot, std::uint64_t seq) const
+{
+    return slot < entry_seq_.size() && entry_seq_[slot] == seq;
+}
+
 void
 GreedyDualPolicy::dropEntry(std::uint32_t slot)
 {
@@ -137,40 +156,91 @@ GreedyDualPolicy::dropEntry(std::uint32_t slot)
     }
 }
 
-void
-GreedyDualPolicy::pushEntry(const Container& c)
+std::uint64_t
+GreedyDualPolicy::claimSeq(std::uint32_t slot)
 {
-    const std::uint32_t slot = c.poolSlot();
     if (slot >= entry_seq_.size()) {
         entry_seq_.resize(std::max<std::size_t>(
             static_cast<std::size_t>(slot) + 1, entry_seq_.size() * 2), 0);
     }
-    HeapEntry entry{containerPriority(c), c.lastUsed(), c.id(), next_seq_++,
-                    slot};
     if (entry_seq_[slot] == 0)
         ++live_entries_;
-    entry_seq_[slot] = entry.seq;
-    heap_.push_back(entry);
+    entry_seq_[slot] = next_seq_;
+    return next_seq_++;
+}
+
+void
+GreedyDualPolicy::pushEntry(const Container& c, std::uint64_t seq)
+{
+    heap_.push_back(HeapEntry{containerPriority(c), c.lastUsed(), c.id(), seq,
+                              c.poolSlot()});
     std::push_heap(heap_.begin(), heap_.end(), &entryAfter);
+}
+
+void
+GreedyDualPolicy::parkEntry(const Container& c, std::uint64_t seq)
+{
+    parked_.push_back(ParkedEntry{c.busyUntil(), c.id(), seq, c.poolSlot()});
+    std::push_heap(parked_.begin(), parked_.end(), &parkedAfter);
 }
 
 void
 GreedyDualPolicy::maybeCompact()
 {
-    if (heap_.size() < 64 || heap_.size() < 4 * live_entries_)
+    const std::size_t total = heap_.size() + parked_.size();
+    if (total < 64 || total < 4 * live_entries_)
         return;
     std::erase_if(heap_, [this](const HeapEntry& e) {
-        return e.slot >= entry_seq_.size() || entry_seq_[e.slot] != e.seq;
+        return !isLive(e.slot, e.seq);
+    });
+    std::erase_if(parked_, [this](const ParkedEntry& e) {
+        return !isLive(e.slot, e.seq);
     });
     std::make_heap(heap_.begin(), heap_.end(), &entryAfter);
+    std::make_heap(parked_.begin(), parked_.end(), &parkedAfter);
+}
+
+void
+GreedyDualPolicy::admitReleased(const ContainerPool& pool, TimeUs now)
+{
+    std::vector<std::pair<const Container*, std::uint64_t>> overdue;
+    while (!parked_.empty()) {
+        const ParkedEntry e = parked_.front();
+        const bool live = isLive(e.slot, e.seq);
+        const Container* c = live ? pool.get(e.id) : nullptr;
+        if (c != nullptr && c->busy() && c->busyUntil() == e.busy_until &&
+            e.busy_until > now) {
+            // Containers go idle no earlier than their busyUntil, and
+            // drivers release every container due by `now` before
+            // searching (bar same-timestamp ties, handled below), so
+            // everything parked behind this entry is still busy.
+            break;
+        }
+        std::pop_heap(parked_.begin(), parked_.end(), &parkedAfter);
+        parked_.pop_back();
+        if (!live)
+            continue;  // superseded or already evicted
+        if (c == nullptr)
+            dropEntry(e.slot);  // removed without onEviction (defensive)
+        else if (c->idle())
+            pushEntry(*c, e.seq);
+        else if (c->busyUntil() != e.busy_until)
+            parkEntry(*c, e.seq);  // restarted without a hook: re-key
+        else
+            overdue.emplace_back(c, e.seq);  // due, Finish not delivered
+    }
+    for (const auto& [c, seq] : overdue)
+        parkEntry(*c, seq);
 }
 
 std::vector<ContainerId>
-GreedyDualPolicy::selectVictims(ContainerPool& pool, MemMb needed_mb, TimeUs)
+GreedyDualPolicy::selectVictims(ContainerPool& pool, MemMb needed_mb,
+                                TimeUs now)
 {
-    return config_.eviction_engine == GdEvictionEngine::LazyHeap
-        ? selectVictimsHeap(pool, needed_mb)
-        : selectVictimsSort(pool, needed_mb);
+    if (config_.eviction_engine == GdEvictionEngine::SortReference)
+        return selectVictimsSort(pool, needed_mb);
+    admitReleased(pool, now);
+    return selectVictimsHeap(pool, needed_mb);
 }
 
 std::vector<ContainerId>
@@ -216,21 +286,15 @@ GreedyDualPolicy::selectVictimsHeap(ContainerPool& pool, MemMb needed_mb)
     const MemMb target =
         std::max(needed_mb, config_.batch_free_mb - pool.freeMb());
 
-    const auto pop_min = [this]() {
-        std::pop_heap(heap_.begin(), heap_.end(), &entryAfter);
-        HeapEntry e = heap_.back();
-        heap_.pop_back();
-        return e;
-    };
-
     std::vector<ContainerId> victims;
-    std::vector<const Container*> selected;
-    std::vector<const Container*> deferred_busy;
+    std::vector<std::pair<const Container*, std::uint64_t>> selected;
     MemMb freed = 0;
     double max_evicted_priority = clock_;
     while (freed < target && !heap_.empty()) {
-        const HeapEntry e = pop_min();
-        if (e.slot >= entry_seq_.size() || entry_seq_[e.slot] != e.seq)
+        std::pop_heap(heap_.begin(), heap_.end(), &entryAfter);
+        const HeapEntry e = heap_.back();
+        heap_.pop_back();
+        if (!isLive(e.slot, e.seq))
             continue;  // superseded or already evicted
         Container* c = pool.get(e.id);
         if (c == nullptr) {
@@ -239,10 +303,9 @@ GreedyDualPolicy::selectVictimsHeap(ContainerPool& pool, MemMb needed_mb)
             continue;
         }
         if (c->busy()) {
-            // Not an eviction candidate; park it outside the heap for
-            // the rest of this round so it cannot be popped again.
-            dropEntry(e.slot);
-            deferred_busy.push_back(c);
+            // Restarted without a hook since admission: not a candidate
+            // until it is released again.
+            parkEntry(*c, e.seq);
             continue;
         }
         const double current = containerPriority(*c);
@@ -251,7 +314,7 @@ GreedyDualPolicy::selectVictimsHeap(ContainerPool& pool, MemMb needed_mb)
             // and keep popping. The re-pushed key is exact, so the entry
             // competes at its true priority from now on.
             c->setPriority(current);
-            pushEntry(*c);
+            pushEntry(*c, e.seq);
             continue;
         }
         // Key matches the container's current triple, and every other
@@ -259,22 +322,18 @@ GreedyDualPolicy::selectVictimsHeap(ContainerPool& pool, MemMb needed_mb)
         // is exactly the sort engine's next victim.
         c->setPriority(current);
         victims.push_back(e.id);
-        selected.push_back(c);
-        dropEntry(e.slot);
+        selected.emplace_back(c, e.seq);
         freed += c->memMb();
         max_evicted_priority = std::max(max_evicted_priority, current);
     }
     // Victims are only *proposed*: the driver declines them (dropping
     // the request) when even this best effort cannot cover needed_mb.
     // Re-insert everything popped; an actual eviction invalidates the
-    // new entry through onEviction.
-    for (const Container* c : selected)
-        pushEntry(*c);
-    for (const Container* c : deferred_busy)
-        pushEntry(*c);
+    // entry through onEviction.
+    for (const auto& [c, seq] : selected)
+        pushEntry(*c, seq);
     if (freed >= needed_mb && !victims.empty())
         clock_ = max_evicted_priority;
-    maybeCompact();
     return victims;
 }
 

@@ -28,17 +28,30 @@
  *  - SortReference re-sorts every idle container on each eviction round
  *    — the original implementation, O(n log n) per round, kept as the
  *    conformance oracle;
- *  - LazyHeap (default) keeps a min-heap of (priority, lastUsed, id)
- *    snapshots taken when a container is used. Stale entries (dead,
- *    busy, superseded, or outdated-key) are skipped or re-keyed on pop,
- *    so a round costs O(k log n) for k popped entries. The two engines
- *    select identical victim sequences: a live container's priority
- *    triple never decreases (its clock snapshot is fixed until re-use,
- *    frequency is monotone while the function has containers, and
- *    cost/size are per-function constants), so every heap key is a
- *    lower bound of its container's current triple and the first popped
- *    entry whose key still matches its current triple is the exact
- *    minimum.
+ *  - LazyHeap (default) ranks idle containers only. A use parks the
+ *    (now busy) container in a second min-heap keyed by busyUntil; a
+ *    search first admits parked containers that have gone idle into the
+ *    priority min-heap of (priority, lastUsed, id) snapshots, stopping
+ *    at the first live container still busy past `now`. That stop is
+ *    exact because a container goes idle no earlier than its busyUntil
+ *    and every driver releases all containers due by `now` before it
+ *    searches (Simulator::advanceTo releases up to the arrival, even for
+ *    background reclaim at an earlier instant; Server releases in the
+ *    Finish event at busyUntil; crashes and OOM kills evict at once).
+ *    The only lag is a same-timestamp Finish not yet delivered, so a
+ *    busy container due by `now` is set aside rather than stopped at.
+ *    Priority-heap entries are re-keyed on pop when stale, so a round
+ *    costs O(k log n) for k popped entries over idle containers only.
+ *    The two engines select identical victim sequences: a live
+ *    container's priority triple never decreases (its clock snapshot is
+ *    fixed until re-use, frequency is monotone while the function has
+ *    containers, and cost/size are per-function constants), so every
+ *    heap key is a lower bound of its container's current triple and
+ *    the first popped entry whose key still matches its current triple
+ *    is the exact minimum. A per-slot sequence number marks each
+ *    container's one live entry across both heaps; superseded entries
+ *    are skipped on pop and compacted away on use once they make up
+ *    three quarters of both heaps.
  */
 #ifndef FAASCACHE_CORE_GREEDY_DUAL_H_
 #define FAASCACHE_CORE_GREEDY_DUAL_H_
@@ -131,8 +144,9 @@ class GreedyDualPolicy : public KeepAlivePolicy
      */
     double priorityOf(const FunctionSpec& function) const;
 
-    /** Live heap entries, stale included (tests and introspection). */
-    std::size_t heapSize() const { return heap_.size(); }
+    /** Parked and priority heap entries together, stale included
+     *  (tests and introspection). */
+    std::size_t heapSize() const { return heap_.size() + parked_.size(); }
 
   private:
     /** Frequency x cost / size term for `function` under the current
@@ -153,9 +167,10 @@ class GreedyDualPolicy : public KeepAlivePolicy
     std::vector<ContainerId> selectVictimsHeap(ContainerPool& pool,
                                                MemMb needed_mb);
 
-    /** A (priority, lastUsed, id) snapshot; seq marks the live one.
-     *  `slot` keys the dense live-seq table (ids never recycle, seqs are
-     *  globally unique, so a recycled slot cannot false-match). */
+    /** A (priority, lastUsed, id) snapshot of an idle container; seq
+     *  marks the live one. `slot` keys the dense live-seq table (ids
+     *  never recycle, seqs are globally unique, so a recycled slot
+     *  cannot false-match). */
     struct HeapEntry
     {
         double priority;
@@ -165,13 +180,39 @@ class GreedyDualPolicy : public KeepAlivePolicy
         std::uint32_t slot;
     };
 
-    /** Heap comparator: a ordered after b (std::*_heap min-heap). */
+    /** A container parked while busy, keyed by its busyUntil. */
+    struct ParkedEntry
+    {
+        TimeUs busy_until;
+        ContainerId id;
+        std::uint64_t seq;
+        std::uint32_t slot;
+    };
+
+    /** Heap comparators: a ordered after b (std::*_heap min-heaps). */
     static bool entryAfter(const HeapEntry& a, const HeapEntry& b);
+    static bool parkedAfter(const ParkedEntry& a, const ParkedEntry& b);
 
-    /** Push a fresh snapshot for `c`, superseding its previous entry. */
-    void pushEntry(const Container& c);
+    /** Whether `seq` is the live entry of pool slot `slot`. */
+    bool isLive(std::uint32_t slot, std::uint64_t seq) const;
 
-    /** Drop superseded entries once they dominate the heap. */
+    /** A fresh seq for `slot`, superseding its previous entry. */
+    std::uint64_t claimSeq(std::uint32_t slot);
+
+    /** Invalidate the live entry keyed at `slot`, if any. */
+    void dropEntry(std::uint32_t slot);
+
+    /** Push `c` under live seq `seq` into the priority heap. */
+    void pushEntry(const Container& c, std::uint64_t seq);
+
+    /** Push `c` under live seq `seq` into the parked heap. */
+    void parkEntry(const Container& c, std::uint64_t seq);
+
+    /** Move parked containers that have gone idle by `now` into the
+     *  priority heap. */
+    void admitReleased(const ContainerPool& pool, TimeUs now);
+
+    /** Drop superseded entries once they dominate both heaps. */
     void maybeCompact();
 
     struct CostSize
@@ -182,18 +223,18 @@ class GreedyDualPolicy : public KeepAlivePolicy
         double size = 0.0;
     };
 
-    /** Invalidate the live entry keyed at `slot`, if any. */
-    void dropEntry(std::uint32_t slot);
-
     GreedyDualConfig config_;
     double clock_ = 0.0;
     /** Per-function cost/size, indexed by dense function id. */
     std::vector<CostSize> characteristics_;
 
-    /** Min-heap (via std::*_heap with a greater-than comparator). */
+    /** Priority min-heap of idle containers (via std::*_heap with a
+     *  greater-than comparator). */
     std::vector<HeapEntry> heap_;
-    /** Seq of each pool slot's current (non-superseded) entry; zero =
-     *  none. Indexed by Container::poolSlot(). */
+    /** Busy containers by busyUntil, awaiting admission to heap_. */
+    std::vector<ParkedEntry> parked_;
+    /** Seq of each pool slot's current (non-superseded) entry in either
+     *  heap; zero = none. Indexed by Container::poolSlot(). */
     std::vector<std::uint64_t> entry_seq_;
     /** Number of non-zero entries in entry_seq_ (compaction trigger). */
     std::size_t live_entries_ = 0;

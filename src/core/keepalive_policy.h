@@ -47,7 +47,11 @@ class KeepAlivePolicy
     virtual void onInvocationArrival(const FunctionSpec& function,
                                      TimeUs now);
 
-    /** Notification: the invocation was served warm by `container`. */
+    /**
+     * Notification: the invocation was served warm by `container`.
+     * Simulator and Server call this (and onColdStart) right after
+     * Container::startInvocation, so busyUntil() is already set.
+     */
     virtual void onWarmStart(Container& container,
                              const FunctionSpec& function, TimeUs now);
 
@@ -80,6 +84,10 @@ class KeepAlivePolicy
      * priority first. If the idle containers cannot cover `needed_mb`,
      * returns the best effort (possibly all idle containers); the driver
      * then drops the request.
+     *
+     * Drivers release every container due by `now` before asking; the
+     * only exception is a Finish due at `now` itself that an event-driven
+     * driver has not delivered yet.
      *
      * The pool is non-const because some policies (Landlord) update
      * per-container bookkeeping while deciding.

@@ -16,6 +16,7 @@
 #include "util/journal_mutator.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -33,13 +34,17 @@
 namespace faascache {
 namespace {
 
-/** Unique temp path per test; removed on destruction. */
+/**
+ * Unique temp path per test process; removed on destruction. ctest runs
+ * each TEST as its own process, and several of them write the shared
+ * baseline tag, so the pid keeps parallel runs off each other's files.
+ */
 class TempFile
 {
   public:
     explicit TempFile(const std::string& tag)
         : path_(std::string(::testing::TempDir()) + "faascache_fuzz_" +
-                tag + ".ckpt")
+                tag + "_" + std::to_string(::getpid()) + ".ckpt")
     {
         std::remove(path_.c_str());
     }

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/container_pool.h"
+#include "platform/experiment_checkpoint.h"
+#include "platform/server.h"
 #include "sim/simulator.h"
+#include "sim/sweep_checkpoint.h"
 #include "trace/azure_model.h"
 #include "util/rng.h"
 
@@ -389,24 +394,299 @@ TEST(GreedyDualEngines, FullSimulationMatchesOracleOnRandomizedTraces)
 
 TEST(GreedyDualEngines, HeapStaysCompactedUnderChurn)
 {
-    // The lazy heap accumulates superseded snapshots; compaction must
-    // keep it within a constant factor of the live container count.
+    // Every use supersedes the container's previous entry; compaction on
+    // use must keep both heaps within a constant factor of the live
+    // container count even when no eviction round ever runs.
     Harness h(100'000);
     const FunctionSpec f = fn(0, 100, 500, 1000);
     Container& c = h.invokeCold(f, 0);
-    for (int i = 1; i <= 5000; ++i)
+    for (int i = 1; i <= 5000; ++i) {
         h.invokeWarm(c, f, i * kSecond);
-    EXPECT_GT(h.policy.heapSize(), 1000u);  // superseded snapshots pile up
-    // An eviction round (even a no-op one) triggers compaction.
-    (void)h.policy.selectVictims(h.pool, 0, 5001 * kSecond);
-    EXPECT_LE(h.policy.heapSize(), 64u);
-    // After an eviction round that actually pops, the heap shrinks to
-    // O(live) on compaction.
+        ASSERT_LE(h.policy.heapSize(), 4 * h.pool.size() + 64);
+    }
+    // The bound holds with many live containers too, and across an
+    // eviction round that pops.
     for (int i = 0; i < 70; ++i)
         h.invokeCold(fn(static_cast<FunctionId>(i + 1), 100, 500, 1000),
                      6000 * kSecond);
+    EXPECT_LE(h.policy.heapSize(), 4 * h.pool.size() + 64);
     (void)h.policy.selectVictims(h.pool, 200, 7000 * kSecond);
-    EXPECT_LE(h.policy.heapSize(), 4 * (h.pool.size() + 1));
+    EXPECT_LE(h.policy.heapSize(), 4 * h.pool.size() + 64);
+}
+
+// ---------------------------------------------------------------------------
+// Admission of parked (busy) containers. The heap engine parks a
+// container by busyUntil when it is used and ranks it only once it has
+// gone idle; a search stops admitting at the first container still busy
+// past the search instant. These cases drive that stop rule where it is
+// tightest — searches at an instant earlier than the last release,
+// searches before same-instant releases are delivered, long busy
+// containers in front of short idle ones, and searches that cannot free
+// enough — and require payloads equal to the oracle's byte for byte.
+
+std::string
+describe(const GreedyDualConfig& config)
+{
+    return "batch=" + std::to_string(config.batch_free_mb) +
+        " freq=" + std::to_string(config.use_frequency) +
+        " cost=" + std::to_string(config.use_cost) +
+        " size=" + std::to_string(config.use_size);
+}
+
+std::unique_ptr<GreedyDualPolicy>
+gd(GreedyDualConfig config, GdEvictionEngine engine)
+{
+    config.eviction_engine = engine;
+    return std::make_unique<GreedyDualPolicy>(config);
+}
+
+/** Canonical Simulator payload of `trace` under one GD engine. */
+std::string
+simPayload(const Trace& trace, const GreedyDualConfig& config,
+           GdEvictionEngine engine, const SimulatorConfig& sim,
+           SimResult* result = nullptr)
+{
+    const SimResult r = simulateTrace(trace, gd(config, engine), sim);
+    if (result != nullptr)
+        *result = r;
+    return encodeCheckpointPayload("gd", r);
+}
+
+/** Canonical Server payload of `trace` under one GD engine. */
+std::string
+serverPayload(const Trace& trace, const GreedyDualConfig& config,
+              GdEvictionEngine engine, const ServerConfig& server_config,
+              PlatformResult* result = nullptr)
+{
+    Server server(gd(config, engine), server_config);
+    const PlatformResult r = server.run(trace);
+    if (result != nullptr)
+        *result = r;
+    return encodePlatformCheckpointPayload("gd", r);
+}
+
+/**
+ * Random functions and arrivals; `long_share` of the functions run for
+ * minutes and are cheap to restart (low GD priority), the rest run for
+ * well under a second and are expensive to restart. Times land on whole
+ * milliseconds, or whole seconds with `whole_seconds`, so many
+ * invocations finish at the same instant.
+ */
+Trace
+mixedTrace(std::uint64_t seed, double long_share, double mean_gap_sec,
+           TimeUs duration, bool whole_seconds)
+{
+    Rng rng(seed);
+    Trace trace("gd-admission");
+    const int num_functions = 40;
+    for (FunctionId id = 0; id < num_functions; ++id) {
+        const bool is_long = rng.uniform() < long_share;
+        const double warm = is_long ? 60.0 + 240.0 * rng.uniform()
+                                    : 0.05 + 0.45 * rng.uniform();
+        const double init = is_long ? 0.2 : 1.0 + 3.0 * rng.uniform();
+        const MemMb mem = is_long ? 256.0 : 64.0 + 64.0 * (id % 3);
+        const double unit_ms = whole_seconds ? 1000.0 : 1.0;
+        const auto round_ms = [unit_ms](double sec) {
+            return std::max(unit_ms,
+                            unit_ms * std::round(sec * 1000.0 / unit_ms));
+        };
+        trace.addFunction(fn(id, mem, round_ms(warm), round_ms(init)));
+    }
+    double t = 0.0;
+    while (true) {
+        t += rng.exponential(mean_gap_sec);
+        TimeUs at = fromSeconds(t);
+        if (whole_seconds)
+            at = (at / kSecond) * kSecond;
+        if (at >= duration)
+            break;
+        trace.addInvocation(
+            static_cast<FunctionId>(rng.uniformInt(num_functions)), at);
+    }
+    return trace;
+}
+
+TEST(GdAdmission, BackgroundReclaimSearchesBeforeLaterReleases)
+{
+    // The reclaim interval exceeds the arrival gaps, so advanceTo(t)
+    // releases containers finishing in (when, t] and then searches at
+    // `when`: those containers are idle although busyUntil > when.
+    const Trace trace = mixedTrace(5, 0.3, 2.0, kHour, false);
+    SimulatorConfig sim;
+    sim.memory_mb = 1500;
+    sim.memory_sample_interval_us = kMinute;
+    sim.background_reclaim_interval_us = 7 * kSecond;
+    sim.background_free_target_mb = 400;
+    for (const MemMb batch : {0.0, 300.0}) {
+        for (const GreedyDualConfig& config : ablationConfigs(batch)) {
+            SCOPED_TRACE(describe(config));
+            SimResult heap;
+            const std::string heap_payload = simPayload(
+                trace, config, GdEvictionEngine::LazyHeap, sim, &heap);
+            EXPECT_EQ(heap_payload,
+                      simPayload(trace, config,
+                                 GdEvictionEngine::SortReference, sim));
+            EXPECT_GT(heap.background_reclaims, 0);
+        }
+    }
+}
+
+TEST(GdAdmission, ServerColdStartBeforeSameInstantFinishes)
+{
+    // Two cores, room for two containers. At t=20 s an arrival for f2
+    // queues behind A (f0) and B (f1), both due at 20 s. B's Finish was
+    // scheduled first, so it is delivered first and its drain cold-
+    // starts f2 while A — parked ahead of B, lower id, same busyUntil —
+    // is still busy: the search must look past A and evict B, although
+    // A ranks lower. Stopping at A would defer the eviction to A's
+    // Finish, evict A instead, and turn f1's last call warm.
+    Trace trace("same-instant");
+    trace.addFunction(fn(0, 100, 5000, 100));
+    trace.addFunction(fn(1, 100, 12000, 1000));
+    trace.addFunction(fn(2, 100, 1000, 1000));
+    trace.addInvocation(0, 0);              // A: cold, busy until 5.1 s
+    trace.addInvocation(1, 7 * kSecond);    // B: cold, busy until 20 s
+    trace.addInvocation(0, 15 * kSecond);   // A: warm, busy until 20 s
+    trace.addInvocation(2, 20 * kSecond);   // queued; cold after B
+    trace.addInvocation(1, 30 * kSecond);   // B is gone: cold
+    ServerConfig server;
+    server.cores = 2;
+    server.memory_mb = 200;
+    PlatformResult heap;
+    const std::string heap_payload = serverPayload(
+        trace, {}, GdEvictionEngine::LazyHeap, server, &heap);
+    EXPECT_EQ(heap_payload,
+              serverPayload(trace, {}, GdEvictionEngine::SortReference,
+                            server));
+    EXPECT_EQ(heap.cold_starts, 4);
+    EXPECT_EQ(heap.evictions, 2);
+    EXPECT_EQ(heap.dropped(), 0);
+}
+
+TEST(GdAdmission, ServerWholeSecondTiesMatchOracle)
+{
+    // Whole-second arrivals and run times: arrivals, Finishes and the
+    // cold starts their drains trigger share instants constantly.
+    const Trace trace = mixedTrace(9, 0.25, 1.0, 30 * kMinute, true);
+    ServerConfig server;
+    server.cores = 6;
+    server.memory_mb = 1200;
+    for (const MemMb batch : {0.0, 300.0}) {
+        for (const GreedyDualConfig& config : ablationConfigs(batch)) {
+            SCOPED_TRACE(describe(config));
+            PlatformResult heap;
+            const std::string heap_payload = serverPayload(
+                trace, config, GdEvictionEngine::LazyHeap, server, &heap);
+            EXPECT_EQ(heap_payload,
+                      serverPayload(trace, config,
+                                    GdEvictionEngine::SortReference,
+                                    server));
+            EXPECT_GT(heap.evictions, 0);
+        }
+    }
+}
+
+TEST(GdAdmission, LongBusyLowPriorityNextToShortIdleMatchesOracle)
+{
+    // The shape of a pool far below the working set: minutes-long,
+    // cheap-to-restart containers stay busy in front of the parked heap
+    // while short, expensive ones churn through idle.
+    for (const std::uint64_t seed : {1ULL, 2ULL}) {
+        const Trace trace = mixedTrace(seed, 0.4, 0.5, 40 * kMinute, false);
+        SimulatorConfig sim;
+        sim.memory_mb = 1200;
+        sim.memory_sample_interval_us = kMinute;
+        for (const MemMb batch : {0.0, 300.0}) {
+            for (const GreedyDualConfig& config : ablationConfigs(batch)) {
+                SCOPED_TRACE("seed=" + std::to_string(seed) + " " +
+                             describe(config));
+                SimResult heap;
+                const std::string heap_payload = simPayload(
+                    trace, config, GdEvictionEngine::LazyHeap, sim, &heap);
+                EXPECT_EQ(heap_payload,
+                          simPayload(trace, config,
+                                     GdEvictionEngine::SortReference, sim));
+                EXPECT_GT(heap.evictions, 0);
+                EXPECT_GT(heap.dropped, 0);
+            }
+        }
+    }
+}
+
+TEST(GdAdmission, InfeasibleSearchReturnsEveryIdleContainerInOrder)
+{
+    // Busy containers due after `now` sit in front of idle ones in the
+    // parked heap's tail; a search that cannot free enough must still
+    // propose every idle container, in the oracle's order, because
+    // Simulator::resize and background reclaim evict a prefix of it.
+    for (const GreedyDualConfig& config : ablationConfigs(0.0)) {
+        SCOPED_TRACE(describe(config));
+        ContainerPool heap_pool(100'000);
+        ContainerPool sort_pool(100'000);
+        auto heap = gd(config, GdEvictionEngine::LazyHeap);
+        auto sort = gd(config, GdEvictionEngine::SortReference);
+        Rng rng(17);
+        const TimeUs now = 1000 * kSecond;
+        for (FunctionId id = 0; id < 60; ++id) {
+            const FunctionSpec f = fn(id, 64.0 + 32.0 * (id % 5), 1000,
+                                      500.0 + 250.0 * (id % 7));
+            const auto start =
+                static_cast<TimeUs>(rng.uniformInt(900)) * kSecond;
+            // A third run past `now`; the rest finished by then.
+            const TimeUs finish = id % 3 == 0
+                ? now + static_cast<TimeUs>(1 + rng.uniformInt(100)) * kSecond
+                : start + static_cast<TimeUs>(rng.uniformInt(100)) * kSecond;
+            for (auto [pool, policy] :
+                 {std::pair{&heap_pool, heap.get()},
+                  std::pair{&sort_pool, sort.get()}}) {
+                policy->onInvocationArrival(f, start);
+                Container& c = pool->add(f, start);
+                c.startInvocation(start, finish);
+                policy->onColdStart(c, f, start);
+            }
+        }
+        (void)heap_pool.releaseFinished(now);
+        (void)sort_pool.releaseFinished(now);
+        const double clock_before = heap->clock();
+
+        const auto victims = heap->selectVictims(heap_pool, 1e9, now);
+        EXPECT_EQ(victims, sort->selectVictims(sort_pool, 1e9, now));
+        EXPECT_EQ(victims.size(), heap_pool.idleCount());
+        EXPECT_EQ(heap->clock(), clock_before);  // nothing was freed
+        // A proposal is not an eviction: the same search repeats.
+        EXPECT_EQ(heap->selectVictims(heap_pool, 1e9, now), victims);
+    }
+}
+
+TEST(GdAdmission, ResizeBelowIdleMemoryMatchesOracle)
+{
+    // Simulator::resize evicts a prefix of its search's proposal, or all
+    // of it when busy containers alone exceed the new capacity. The
+    // capacity is restored at once, so no arrival meets an over-full
+    // pool.
+    const Trace trace = mixedTrace(3, 0.4, 0.5, 20 * kMinute, false);
+    SimulatorConfig sim;
+    sim.memory_mb = 4000;
+    sim.memory_sample_interval_us = kMinute;
+    for (const GreedyDualConfig& config : ablationConfigs(0.0)) {
+        SCOPED_TRACE(describe(config));
+        std::vector<std::string> payloads;
+        for (const GdEvictionEngine engine :
+             {GdEvictionEngine::LazyHeap, GdEvictionEngine::SortReference}) {
+            Simulator simulator(trace, gd(config, engine), sim);
+            std::size_t step = 0;
+            while (!simulator.done()) {
+                simulator.step();
+                if (++step % 200 == 0) {
+                    simulator.resize(step % 400 == 0 ? 300 : 1200);
+                    simulator.resize(4000);
+                }
+            }
+            payloads.push_back(
+                encodeCheckpointPayload("gd", simulator.result()));
+        }
+        EXPECT_EQ(payloads[0], payloads[1]);
+    }
 }
 
 }  // namespace
