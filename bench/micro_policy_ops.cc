@@ -182,7 +182,9 @@ BM_PoolChurn(benchmark::State& state)
 /**
  * Busy/idle lifecycle churn: start a batch of invocations and release
  * them via releaseFinished(). Slab walks the busy list only; the
- * reference pool re-scans every container per release pass.
+ * reference pool re-scans every container per release pass. This is
+ * the pool-level release path only: Simulator releases from its own
+ * (busyUntil, id) finish schedule and Server in its Finish events.
  */
 void
 BM_PoolLifecycle(benchmark::State& state)

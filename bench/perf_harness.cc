@@ -178,7 +178,9 @@ runChurn(PoolBackend backend, std::size_t num_containers, std::int64_t ops)
 }
 
 /** One timed pass of busy/idle lifecycle churn driven by
- *  releaseFinished() — the platform model's per-event pattern. */
+ *  releaseFinished(), the pool-level busy-list walk. Neither engine
+ *  releases this way: Simulator pops its own (busyUntil, id) finish
+ *  schedule and Server releases in its Finish events. */
 void
 runLifecycle(PoolBackend backend, std::size_t num_containers,
              std::int64_t ops)

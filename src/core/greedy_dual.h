@@ -35,9 +35,10 @@
  *    at the first live container still busy past `now`. That stop is
  *    exact because a container goes idle no earlier than its busyUntil
  *    and every driver releases all containers due by `now` before it
- *    searches (Simulator::advanceTo releases up to the arrival, even for
- *    background reclaim at an earlier instant; Server releases in the
- *    Finish event at busyUntil; crashes and OOM kills evict at once).
+ *    searches (Simulator::advanceTo releases up to the arrival by
+ *    popping its (busyUntil, id) finish schedule, even for background
+ *    reclaim at an earlier instant; Server releases in the Finish event
+ *    at busyUntil; crashes and OOM kills evict at once).
  *    The only lag is a same-timestamp Finish not yet delivered, so a
  *    busy container due by `now` is set aside rather than stopped at.
  *    Priority-heap entries are re-keyed on pop when stale, so a round

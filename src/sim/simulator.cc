@@ -117,10 +117,25 @@ Simulator::evict(ContainerId id, TimeUs t, bool expired)
 }
 
 void
+Simulator::startInvocation(Container& c, TimeUs now, TimeUs finish_us)
+{
+    c.startInvocation(now, finish_us);
+    finishes_.emplace(finish_us, c.id());
+}
+
+void
 Simulator::advanceTo(TimeUs t)
 {
     sampleMemory(t);
-    pool_.releaseFinished(t);
+    // Release everything due by t before any policy search at or before
+    // t (background reclaim below searches at earlier instants): Greedy-
+    // Dual's busy-container admission relies on it.
+    while (!finishes_.empty() && finishes_.top().first <= t) {
+        Container* c = pool_.get(finishes_.top().second);
+        assert(c != nullptr && c->busy());
+        c->finishInvocation();
+        finishes_.pop();
+    }
 
     // Expire leases before performing prewarms: a container released at
     // its expiry must not satisfy the skip-if-already-warm check of a
@@ -131,8 +146,9 @@ Simulator::advanceTo(TimeUs t)
     // Background reclamation keeps a free-memory reserve so demand
     // evictions stay off the invocation fast path (§6 future work).
     reclaim_.catchUp(t, [this](TimeUs when) {
-        const MemMb deficit =
-            config_.background_free_target_mb - pool_.freeMb();
+        // Signed headroom: after resize() the pool may sit over capacity.
+        const MemMb deficit = config_.background_free_target_mb -
+                              (pool_.capacityMb() - pool_.usedMb());
         if (deficit <= 0)
             return;
         for (ContainerId id : policy_->selectVictims(pool_, deficit, when)) {
@@ -186,7 +202,7 @@ Simulator::step()
     FunctionOutcome& outcome = result_.per_function[spec.id];
 
     if (Container* warm = pool_.findIdleWarm(spec.id)) {
-        warm->startInvocation(now_us, now_us + spec.warm_us);
+        startInvocation(*warm, now_us, now_us + spec.warm_us);
         policy_->onWarmStart(*warm, spec, now_us);
         ++result_.warm_starts;
         ++outcome.warm;
@@ -197,7 +213,11 @@ Simulator::step()
 
     // Cold path: make room if needed.
     if (!pool_.fits(spec.mem_mb)) {
-        const MemMb needed = spec.mem_mb - pool_.freeMb();
+        // Signed headroom, not the zero-clamped freeMb(): after resize()
+        // busy containers may keep the pool over capacity, and victims
+        // must also pay back that overshoot before the cold start fits.
+        const MemMb headroom = pool_.capacityMb() - pool_.usedMb();
+        const MemMb needed = spec.mem_mb - headroom;
         ++result_.eviction_rounds;
         const auto victims = policy_->selectVictims(pool_, needed, now_us);
         MemMb freed = 0;
@@ -206,7 +226,7 @@ Simulator::step()
             assert(c != nullptr && c->idle());
             freed += c->memMb();
         }
-        if (pool_.freeMb() + freed < spec.mem_mb) {
+        if (headroom + freed < spec.mem_mb) {
             // Even the policy's best effort cannot make room: the pool
             // is dominated by running containers. Drop the request and
             // spare the victims.
@@ -219,7 +239,7 @@ Simulator::step()
     }
 
     Container& fresh = pool_.add(spec, now_us);
-    fresh.startInvocation(now_us, now_us + spec.cold_us);
+    startInvocation(fresh, now_us, now_us + spec.cold_us);
     policy_->onColdStart(fresh, spec, now_us);
     ++result_.cold_starts;
     ++outcome.cold;

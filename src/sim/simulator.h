@@ -5,7 +5,9 @@
  * discrete-event simulator.
  *
  * For each invocation, in arrival order:
- *  1. running containers whose invocations completed become idle;
+ *  1. running containers whose invocations completed become idle (the
+ *     simulator's own finish schedule releases them, see
+ *     scheduledFinishes());
  *  2. prewarms requested by the policy (HIST) are performed if memory
  *     allows and no idle warm container already exists;
  *  3. containers whose keep-alive lease expired are terminated;
@@ -21,7 +23,12 @@
 #ifndef FAASCACHE_SIM_SIMULATOR_H_
 #define FAASCACHE_SIM_SIMULATOR_H_
 
+#include <cstddef>
+#include <functional>
 #include <memory>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "core/container_pool.h"
 #include "core/keepalive_policy.h"
@@ -134,9 +141,18 @@ class Simulator
     const ContainerPool& pool() const { return pool_; }
     const KeepAlivePolicy& policy() const { return *policy_; }
 
+    /**
+     * Entries in the finish schedule: always equal to the number of
+     * busy containers in pool().
+     */
+    std::size_t scheduledFinishes() const { return finishes_.size(); }
+
   private:
     /** Advance housekeeping (release, prewarm, expire) to time t. */
     void advanceTo(TimeUs t);
+
+    /** Start an invocation on `c` and schedule its release. */
+    void startInvocation(Container& c, TimeUs now, TimeUs finish_us);
 
     /** Terminate a container and notify the policy. */
     void evict(ContainerId id, TimeUs t, bool expired);
@@ -165,6 +181,19 @@ class Simulator
     /** Registered periodic tasks (engine/periodic_schedule.h). */
     PeriodicSchedule sampling_;
     PeriodicSchedule reclaim_;
+
+    /**
+     * Finish schedule: a (busyUntil, id) min-heap with exactly one entry
+     * per busy container. startInvocation() is the only way a container
+     * turns busy and advanceTo() pops due entries to release them; evict()
+     * only removes idle containers, so no entry ever goes stale. Release
+     * order is unobservable: the pool keeps idle containers in a strict
+     * total order and policies are not told about releases.
+     */
+    using FinishEntry = std::pair<TimeUs, ContainerId>;
+    std::priority_queue<FinishEntry, std::vector<FinishEntry>,
+                        std::greater<>>
+        finishes_;
 };
 
 /** Convenience: construct, run, and return the result. */

@@ -7,6 +7,7 @@
 #include "core/lru_policy.h"
 #include "core/policy_factory.h"
 #include "core/ttl_policy.h"
+#include "trace/azure_model.h"
 
 namespace faascache {
 namespace {
@@ -239,6 +240,159 @@ TEST(Simulator, ResizeGrowAllowsMoreContainers)
     // With 1000 MB both functions stay resident: third invocation warm.
     EXPECT_EQ(sim.result().warm_starts, 1);
     EXPECT_EQ(sim.result().evictions, 0);
+}
+
+TEST(Simulator, ColdStartAfterResizeBelowBusyMemoryStaysWithinCapacity)
+{
+    // Two 400 MB invocations fill 800 of 1000 MB: A ends at t=10, B at
+    // t=1000. Shrinking to 500 MB cannot evict either (both busy), so
+    // the pool sits 300 MB over capacity. At t=20 A is idle again and a
+    // 150 MB cold arrival must either be dropped or fit after evictions
+    // that also pay back the overshoot: evicting A alone (400 MB) only
+    // brings usage to 400 MB, and 400 + 150 > 500.
+    Trace t("t");
+    t.addFunction(makeFunction(0, "a", 400, /*warm_us=*/5, /*init_us=*/5));
+    t.addFunction(makeFunction(1, "b", 400, 500, 500));
+    t.addFunction(makeFunction(2, "c", 150, 5, 5));
+    t.addInvocation(0, 0);
+    t.addInvocation(1, 0);
+    t.addInvocation(2, 20);
+    Simulator sim(t, std::make_unique<GreedyDualPolicy>(), config(1000));
+    sim.step();
+    sim.step();
+    sim.resize(500);
+    EXPECT_DOUBLE_EQ(sim.pool().usedMb(), 800.0);
+    sim.step();
+    const SimResult& r = sim.result();
+    EXPECT_EQ(r.cold_starts + r.dropped, 3);
+    if (r.cold_starts == 3)
+        EXPECT_LE(sim.pool().usedMb(), sim.pool().capacityMb());
+    else
+        EXPECT_EQ(r.evictions, 0);  // a dropped request spares its victims
+}
+
+/** Azure-shaped trace with arrivals and execution times on a 100 ms
+ *  grid, so invocations often finish exactly at another's arrival. */
+Trace
+gridTrace(std::uint64_t seed)
+{
+    AzureModelConfig model;
+    model.seed = seed;
+    model.num_functions = 120;
+    model.duration_us = 20 * kMinute;
+    model.iat_median_sec = 15.0;
+    model.mem_median_mb = 96.0;
+    model.mem_max_mb = 512.0;
+    const Trace azure = generateAzureTrace(model);
+    static constexpr TimeUs kGrid = 100 * kMillisecond;
+    const auto duration = [](TimeUs us) {
+        return std::max(kGrid, us / kGrid * kGrid);
+    };
+    Trace t("grid");
+    for (const FunctionSpec& f : azure.functions()) {
+        t.addFunction(makeFunction(f.id, f.name, f.mem_mb,
+                                   duration(f.warm_us),
+                                   duration(f.cold_us - f.warm_us)));
+    }
+    for (const Invocation& inv : azure.invocations())
+        t.addInvocation(inv.function, inv.arrival_us / kGrid * kGrid);
+    return t;
+}
+
+TEST(Simulator, FinishScheduleReleasesEverythingDue)
+{
+    const Trace t = gridTrace(5);
+    for (PolicyKind kind :
+         {PolicyKind::GreedyDual, PolicyKind::Ttl, PolicyKind::Hist}) {
+        SCOPED_TRACE(policyKindName(kind));
+        SimulatorConfig c = config(1500);
+        c.enable_prewarm = true;
+        c.background_reclaim_interval_us = 10 * kSecond;
+        c.background_free_target_mb = 300;
+        Simulator sim(t, makePolicy(kind), c);
+        std::size_t steps = 0;
+        std::int64_t added = 0;
+        while (!sim.done()) {
+            sim.step();
+            ++steps;
+            std::size_t busy = 0;
+            bool overdue = false;
+            sim.pool().forEach([&](const Container& ct) {
+                if (!ct.busy())
+                    return;
+                ++busy;
+                overdue = overdue || ct.busyUntil() <= sim.now();
+            });
+            ASSERT_FALSE(overdue) << "step " << steps;
+            ASSERT_EQ(busy, sim.scheduledFinishes()) << "step " << steps;
+            const std::int64_t now_added =
+                sim.result().cold_starts + sim.result().prewarms;
+            if (now_added != added) {
+                ASSERT_LE(sim.pool().usedMb(), sim.pool().capacityMb())
+                    << "step " << steps;
+                added = now_added;
+            }
+            // Elastic churn: shrink below busy memory and grow back.
+            if (steps % 500 == 0)
+                sim.resize(steps % 1000 == 0 ? 1500 : 400);
+        }
+        EXPECT_GT(steps, 2000u);
+        EXPECT_GT(sim.result().warm_starts, 0);
+        EXPECT_GT(sim.result().background_reclaims, 0);
+    }
+}
+
+TEST(Simulator, FinishAtNextArrivalIsWarm)
+{
+    // The cold start ends at 500 ms (100 ms warm + 400 ms init), exactly
+    // when the next invocation arrives: the container is released first.
+    Trace t("t");
+    t.addFunction(fn(0, 100));
+    t.addInvocation(0, 0);
+    t.addInvocation(0, fromMillis(500));
+    Simulator sim(t, std::make_unique<GreedyDualPolicy>(), config(100));
+    sim.step();
+    EXPECT_EQ(sim.scheduledFinishes(), 1u);
+    sim.step();
+    EXPECT_EQ(sim.result().cold_starts, 1);
+    EXPECT_EQ(sim.result().warm_starts, 1);
+    EXPECT_EQ(sim.result().dropped, 0);
+    EXPECT_EQ(sim.scheduledFinishes(), 1u);
+}
+
+TEST(Simulator, SameInstantReleasesAgreeAcrossPoolBackends)
+{
+    // Containers 1..4 start in id order but finish in the opposite
+    // order (4 and 3 at the same instant), and all are released by the
+    // same arrival. The finish schedule releases them by (busyUntil,
+    // id), the reference order of the pool by id; the idle order, and
+    // so every later warm hit and eviction, must not depend on it.
+    Trace t("t");
+    t.addFunction(makeFunction(0, "a", 200, 3000, 0));
+    t.addFunction(makeFunction(1, "b", 300, 2000, 0));
+    t.addFunction(makeFunction(2, "c", 250, 1000, 0));
+    t.addFunction(makeFunction(3, "d", 150, 999, 0));
+    t.addFunction(makeFunction(4, "e", 400, 50, 100));
+    t.addInvocation(0, 0);
+    t.addInvocation(1, 1);
+    t.addInvocation(2, 2);
+    t.addInvocation(3, 3);
+    t.addInvocation(4, 5000);  // releases all four, then must evict
+    t.addInvocation(3, 5000);
+    t.addInvocation(0, 6000);
+    t.addInvocation(2, 6000);
+    t.addInvocation(1, 7000);
+    t.addInvocation(4, 7000);
+    for (PolicyKind kind : allPolicyKinds()) {
+        SCOPED_TRACE(policyKindName(kind));
+        SimulatorConfig slab = config(1000);
+        SimulatorConfig ref = slab;
+        ref.pool_backend = PoolBackend::ReferenceMap;
+        const SimResult a = simulateTrace(t, makePolicy(kind), slab);
+        const SimResult b = simulateTrace(t, makePolicy(kind), ref);
+        EXPECT_EQ(a, b);
+        EXPECT_GT(a.evictions, 0);
+    }
 }
 
 TEST(Simulator, ResizeRejectsNonPositive)
