@@ -17,6 +17,25 @@
 
 namespace faascache {
 
+namespace {
+
+/** Polls of a barrier generation or snapshot epoch before the waiter
+ *  stops burning its core (sleeps on the condvar, or yields). */
+constexpr int kSpinPolls = 2000;
+
+/** One busy-wait step: a CPU pause where the ISA has one. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#else
+    std::this_thread::yield();
+#endif
+}
+
+}  // namespace
+
 std::size_t
 effectiveShards(std::size_t shards, std::size_t num_servers)
 {
@@ -104,37 +123,61 @@ ShardMailbox::exchange(
 void
 ShardBarrier::arriveAndWait(const std::function<void()>& leader)
 {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (aborted_)
+    if (aborted())
         throw ShardAborted();
-    const std::uint64_t generation = generation_;
-    if (++arrived_ == parties_) {
-        arrived_ = 0;
+    // Stable until this thread arrives: the generation advances only
+    // once every party, this one included, has arrived.
+    const std::uint64_t generation =
+        generation_.load(std::memory_order_acquire);
+    // acq_rel: the leader sees every party's writes made before it
+    // arrived (the RMW chain carries them).
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
+        arrived_.store(0, std::memory_order_relaxed);
         if (leader) {
             try {
                 leader();
             } catch (...) {
-                aborted_ = true;
-                ++generation_;
-                cv_.notify_all();
+                aborted_.store(true, std::memory_order_release);
+                release(generation + 1);
                 throw;
             }
         }
-        ++generation_;
-        cv_.notify_all();
+        release(generation + 1);
         return;
     }
-    cv_.wait(lock,
-             [&] { return generation_ != generation || aborted_; });
-    if (aborted_)
+    auto released = [&] {
+        return generation_.load(std::memory_order_acquire) != generation ||
+            aborted();
+    };
+    for (int poll = 0; poll < kSpinPolls && !released(); ++poll)
+        cpuRelax();
+    if (!released()) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, released);
+    }
+    if (aborted())
         throw ShardAborted();
+}
+
+void
+ShardBarrier::release(std::uint64_t generation)
+{
+    {
+        // Under the mutex, so a waiter between its last check and its
+        // sleep cannot miss the wake-up.
+        std::lock_guard<std::mutex> lock(mutex_);
+        generation_.store(generation, std::memory_order_release);
+    }
+    cv_.notify_all();
 }
 
 void
 ShardBarrier::abort()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    aborted_ = true;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        aborted_.store(true, std::memory_order_release);
+    }
     cv_.notify_all();
 }
 
@@ -151,7 +194,7 @@ enum class ShardEvent
     OomKill,    ///< a memory-pressure kill on an owned server
 };
 
-/** Remote view of a server, frozen at the last barrier. */
+/** Remote view of a server, frozen at the window instant. */
 struct ShardSnapshot
 {
     bool down = false;
@@ -189,9 +232,18 @@ struct WindowedRun
     std::function<std::size_t(std::size_t)> owner;
 
     /** Written by each server's owner in phase A, read by everyone in
-     *  phases B/C of the same round; the two barriers order the
-     *  accesses. */
+     *  phase C of the same round: a reader first waits for the owner's
+     *  epoch (awaitSnapshots); the next write follows the round's
+     *  barrier, which every reader has passed. */
     std::vector<ShardSnapshot> snapshots;
+
+    /** Last round whose snapshots a shard has written, release-stored;
+     *  one cache line per shard. */
+    struct alignas(64) SnapshotEpoch
+    {
+        std::atomic<std::uint64_t> round{0};
+    };
+    std::vector<SnapshotEpoch> published;
 
     /** Reduction slots, one per shard, read by the barrier leader. */
     std::vector<TimeUs> local_min;
@@ -209,10 +261,30 @@ struct WindowedRun
 
     explicit WindowedRun(std::size_t shards, std::size_t servers)
         : barrier(shards), mailbox(shards), snapshots(servers),
-          local_min(shards, kNoEvent), shard_last_event(shards, 0),
-          shard_stream_length(shards, 0), server_results(servers),
-          counters(shards), errors(shards)
+          published(shards), local_min(shards, kNoEvent),
+          shard_last_event(shards, 0), shard_stream_length(shards, 0),
+          server_results(servers), counters(shards), errors(shards)
     {
+    }
+
+    /**
+     * Block until `shard` has published its snapshots of `round`. The
+     * owner publishes right after the barrier that opened the round,
+     * without waiting on anyone, so this ends unless the owner failed;
+     * then the barrier is aborted and this throws ShardAborted.
+     */
+    void awaitSnapshots(std::size_t shard, std::uint64_t round) const
+    {
+        const std::atomic<std::uint64_t>& epoch = published[shard].round;
+        for (int poll = 0; epoch.load(std::memory_order_acquire) < round;
+             ++poll) {
+            if (barrier.aborted())
+                throw ShardAborted();
+            if (poll < kSpinPolls)
+                cpuRelax();
+            else
+                std::this_thread::yield();
+        }
     }
 };
 
@@ -303,6 +375,11 @@ runShardWorker(WindowedRun& run, std::size_t shard)
             ++cur;
         return cur < wins.size() && wins[cur].from_us <= now;
     };
+
+    // Round counter (identical on every shard) and, per shard, the
+    // last round whose published snapshots this shard has waited for.
+    std::uint64_t round = 0;
+    std::vector<std::uint64_t> snapshots_seen(run.num_shards, 0);
 
     ShardCounters& ctr = run.counters[shard];
     std::vector<char> down(n, 0);
@@ -410,7 +487,7 @@ runShardWorker(WindowedRun& run, std::size_t shard)
     // Route one dispatch. `primary` is owned by this shard (arrivals
     // and retries both fire on the primary's owner). Live state is
     // consulted only for the primary itself; every other server — even
-    // a same-shard one — is judged by its barrier snapshot, so the
+    // a same-shard one — is judged by its window snapshot, so the
     // probe sequence is a pure function of snapshot state and shard
     // layout cannot change it.
     auto processDispatch = [&](std::size_t index, const Invocation& inv,
@@ -439,6 +516,12 @@ runShardWorker(WindowedRun& run, std::size_t shard)
                     continue;
                 }
             } else {
+                const std::size_t owner =
+                    shardOfServer(s, run.num_shards, n);
+                if (snapshots_seen[owner] != round) {
+                    run.awaitSnapshots(owner, round);
+                    snapshots_seen[owner] = round;
+                }
                 const ShardSnapshot& snap = run.snapshots[s];
                 if (snap.down)
                     continue;
@@ -494,10 +577,11 @@ runShardWorker(WindowedRun& run, std::size_t shard)
     for (;;) {
         const TimeUs window = run.window_start;
         const TimeUs window_end = window + run.window_us;
+        ++round;
 
-        // Phase A: settle owned servers to the barrier instant and
+        // Phase A: settle owned servers to the window instant and
         // publish their snapshots (the frozen view every other shard
-        // dispatches against for the coming window).
+        // dispatches against for the coming window). Posts no mail.
         for (std::size_t s = first_server; s < end_server; ++s) {
             settleServer(s, window);
             ShardSnapshot snap;
@@ -520,10 +604,12 @@ runShardWorker(WindowedRun& run, std::size_t shard)
                     "more closes than opens");
             }
         }
-        run.barrier.arriveAndWait(
-            [&run] { run.mailbox.exchange(run.owner); });
+        run.published[shard].round.store(round,
+                                         std::memory_order_release);
+        snapshots_seen[shard] = round;
 
-        // Phase B: deliver this shard's mail at the barrier instant.
+        // Phase B: deliver the mail routed to this shard at the last
+        // barrier, at the window instant.
         for (const ShardMail& mail : run.mailbox.inbox(shard)) {
             last_event_us = std::max(last_event_us, window);
             if (mail.kind == ShardMail::Kind::ForwardOffer) {
@@ -668,7 +754,8 @@ runShardWorker(WindowedRun& run, std::size_t shard)
         }
 
         // Phase D: publish this shard's earliest future work and let
-        // the leader advance (or finish) the window sequence. The
+        // the leader route the window's mail and advance (or finish)
+        // the window sequence — the round's only barrier. The
         // cursor peek is identical on every shard — all shards consume
         // the same stream prefix per window — so the global minimum is
         // shard-layout-invariant.
@@ -682,6 +769,9 @@ runShardWorker(WindowedRun& run, std::size_t shard)
         }
         run.barrier.arriveAndWait([&run] {
             const bool any_mail = run.mailbox.anyPosted();
+            // Delivered in the next round's phase B, at its window
+            // instant (also clears the inboxes just consumed).
+            run.mailbox.exchange(run.owner);
             TimeUs global_min = kNoEvent;
             for (const TimeUs t : run.local_min)
                 global_min = std::min(global_min, t);
@@ -696,7 +786,7 @@ runShardWorker(WindowedRun& run, std::size_t shard)
             const TimeUs next = run.window_start + run.window_us;
             if (any_mail) {
                 // Posted mail must be delivered at the very next
-                // barrier; the window sequence stays contiguous.
+                // window instant; the window sequence stays contiguous.
                 run.window_start = next;
             } else {
                 // Nothing in flight before global_min: skip empty

@@ -13,12 +13,22 @@
  * require delivery before T + H — shards may simulate a whole window
  * without hearing from each other.
  *
+ * One round per window, one barrier per round. Each shard settles its
+ * servers to the window instant, freezes their snapshots and publishes
+ * its snapshot epoch (the round number, release-stored); delivers the
+ * mail routed to it at the previous barrier; simulates the window; then
+ * arrives at the barrier, whose leader routes the window's mail and
+ * picks the next window. A dispatch that reads another shard's snapshot
+ * first acquire-waits on that shard's epoch; a snapshot is next
+ * rewritten only after the following barrier, which every reader of
+ * the round has passed.
+ *
  * Determinism discipline: every decision is a function of (the event's
- * own server's live state, per-server snapshots frozen at the last
- * barrier, mail delivered at barriers in a canonically sorted order).
- * Nothing depends on which shard hosts a server, so results are
- * byte-identical for every shard count N >= 1. The shard count is an
- * execution grouping, not a semantic parameter.
+ * own server's live state, per-server snapshots frozen at the window
+ * instant, mail delivered at the window instant in a canonically
+ * sorted order). Nothing depends on which shard hosts a server, so
+ * results are byte-identical for every shard count N >= 1. The shard
+ * count is an execution grouping, not a semantic parameter.
  *
  * This header exposes the partition/mailbox/barrier building blocks
  * for tests; the entry point is runCluster(const ShardedWorkload&)
@@ -27,6 +37,7 @@
 #ifndef FAASCACHE_PLATFORM_CLUSTER_SHARD_H_
 #define FAASCACHE_PLATFORM_CLUSTER_SHARD_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -142,8 +153,11 @@ class ShardAborted : public std::runtime_error
 /**
  * Reusable barrier with a leader section: the last thread to arrive
  * runs `leader` (mail exchange, window advance) while the others wait,
- * then all release together. abort() wakes every waiter with
- * ShardAborted so one shard's failure cannot deadlock the rest.
+ * then all release together. Waiters first poll the generation for a
+ * bounded number of CPU pauses — a window's work is often shorter than
+ * a futex sleep and wake-up — and only then block on the condvar.
+ * abort() wakes every waiter with ShardAborted so one shard's failure
+ * cannot deadlock the rest.
  */
 class ShardBarrier
 {
@@ -156,13 +170,19 @@ class ShardBarrier
 
     void abort();
 
+    /** Has abort() run or a leader thrown? Callable from any thread. */
+    bool aborted() const { return aborted_.load(std::memory_order_acquire); }
+
   private:
+    /** Publish `generation` and wake every sleeping waiter. */
+    void release(std::uint64_t generation);
+
     std::mutex mutex_;
     std::condition_variable cv_;
-    std::size_t parties_;
-    std::size_t arrived_ = 0;
-    std::uint64_t generation_ = 0;
-    bool aborted_ = false;
+    const std::size_t parties_;
+    std::atomic<std::size_t> arrived_{0};
+    std::atomic<std::uint64_t> generation_{0};
+    std::atomic<bool> aborted_{false};
 };
 
 /**

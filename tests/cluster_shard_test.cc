@@ -5,8 +5,10 @@
 // the runtime invariant auditor attached and silent.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "platform/server.h"
 #include "trace/azure_model.h"
 #include "trace/function_spec.h"
+#include "trace/invocation_source.h"
 #include "trace/trace.h"
 #include "util/audit.h"
 
@@ -385,6 +388,150 @@ TEST(ClusterShard, EmptyShardsParticipateAndStayInvariant)
             << "empty-shard run diverged at shards " << shards;
     }
     EXPECT_EQ(audit.violationCount(), 0) << audit.report();
+}
+
+// --- Failover reads snapshots published by other shards. -----------
+
+TEST(ClusterShard, CrossShardFailoverIsShardCountInvariant)
+{
+    // FunctionHash pins each function to one primary; crashes take
+    // primaries down and a shallow shed depth refuses busy ones, so
+    // dispatches fail over to the next servers and judge them by their
+    // window snapshots. At 8 shards every server is its own shard, so
+    // every failover probe reads a snapshot another shard published —
+    // the epoch handoff, exercised under tsan in CI.
+    ClusterConfig config = baseConfig(8);
+    config.balancing = LoadBalancing::FunctionHash;
+    config.server.cores = 1;
+    config.failover.shed_queue_depth = 2;
+    for (std::size_t s = 0; s < 8; s += 2) {
+        config.faults.crashes.push_back(CrashEvent{
+            s, static_cast<TimeUs>(3 + s) * kMinute, 3 * kMinute});
+    }
+    config.faults.crashes.push_back(
+        CrashEvent{1, 15 * kMinute, 4 * kMinute});
+    Auditor audit(AuditMode::On);
+    config.server.audit = &audit;
+
+    config.shards = 1;
+    const ClusterResult single =
+        runCluster(azureWorkload(), PolicyKind::GreedyDual, config);
+    EXPECT_GT(single.failovers, 0)
+        << "the scenario must fail over to non-primary servers";
+    const std::string oracle =
+        encodeClusterCheckpointPayload("cell", single);
+    for (const std::size_t shards : {2u, 3u, 4u, 8u}) {
+        ClusterConfig other = config;
+        other.shards = shards;
+        EXPECT_EQ(payloadFor(other), oracle)
+            << "cross-shard failover diverged at shards " << shards;
+    }
+    EXPECT_EQ(audit.violationCount(), 0) << audit.report();
+}
+
+// --- One failing shard ends the run instead of hanging its peers. ---
+
+/** A trace cursor that throws once `fail_after` invocations have been
+ *  consumed, or from reset() when `fail_after` is negative. */
+class FailingSource final : public InvocationSource
+{
+  public:
+    FailingSource(const Trace& trace, long fail_after)
+        : inner_(trace), fail_after_(fail_after)
+    {
+    }
+
+    const std::string& name() const override { return inner_.name(); }
+    const std::vector<FunctionSpec>& functions() const override
+    {
+        return inner_.functions();
+    }
+    bool peek(Invocation& out) override { return inner_.peek(out); }
+    bool next(Invocation& out) override
+    {
+        if (consumed_ == fail_after_)
+            throw std::runtime_error("injected cursor failure");
+        ++consumed_;
+        return inner_.next(out);
+    }
+    void reset() override
+    {
+        if (fail_after_ < 0)
+            throw std::runtime_error("injected cursor failure");
+        consumed_ = 0;
+        inner_.reset();
+    }
+    SourceCountHint countHint() const override
+    {
+        return inner_.countHint();
+    }
+
+  private:
+    TraceSource inner_;
+    long fail_after_;
+    long consumed_ = 0;
+};
+
+/** Run `config` over `trace` where the factory's second cursor (one
+ *  shard's) fails after `fail_after` invocations; expect its error. */
+void
+expectCursorFailureRethrown(const Trace& trace, ClusterConfig config,
+                            long fail_after)
+{
+    for (const std::size_t shards : {2u, 4u}) {
+        config.shards = shards;
+        std::atomic<int> calls{0};
+        ShardedWorkload workload;
+        workload.make_full = [&]() -> std::unique_ptr<InvocationSource> {
+            if (calls.fetch_add(1) == 1)
+                return std::make_unique<FailingSource>(trace, fail_after);
+            return std::make_unique<TraceSource>(trace);
+        };
+        try {
+            runCluster(workload, PolicyKind::GreedyDual, config);
+            ADD_FAILURE() << "no error at shards " << shards
+                          << ", fail_after " << fail_after;
+        } catch (const std::runtime_error& error) {
+            EXPECT_STREQ(error.what(), "injected cursor failure")
+                << "shards " << shards << ", fail_after " << fail_after;
+        }
+        EXPECT_EQ(calls.load(), static_cast<int>(shards))
+            << "one cursor per shard";
+    }
+}
+
+TEST(ClusterShard, FailingShardRethrowsWithoutHangingPeers)
+{
+    // Only the shard that gets the factory's second cursor fails; its
+    // peers wait in the barrier and must observe the abort, and
+    // runCluster must rethrow the cursor's error. A hang fails the
+    // test by its ctest timeout.
+    ClusterConfig config = baseConfig(4);
+    config.balancing = LoadBalancing::FunctionHash;
+    armDefenses(config);
+    const auto total =
+        static_cast<long>(azureWorkload().invocations().size());
+    for (const long fail_after : {0L, total / 3, total - 1})
+        expectCursorFailureRethrown(azureWorkload(), config, fail_after);
+}
+
+TEST(ClusterShard, FailedOwnerReleasesSnapshotWaiters)
+{
+    // Every server crashes at t = 0 and arrivals start inside the
+    // first window, so each dispatch probes every server and reads
+    // every other shard's first snapshots. The failing shard throws
+    // from reset(), before it publishes any: its peers must leave the
+    // snapshot-epoch wait through the abort.
+    Trace trace("all-down");
+    trace.addFunction(makeFunction(0, "f0", 300.0, 500 * kMillisecond,
+                                   2 * kSecond));
+    for (int i = 1; i <= 50; ++i)
+        trace.addInvocation(0, i * kMillisecond);
+    ClusterConfig config = baseConfig(4);
+    config.balancing = LoadBalancing::FunctionHash;
+    for (std::size_t s = 0; s < 4; ++s)
+        config.faults.crashes.push_back(CrashEvent{s, 0, kSecond});
+    expectCursorFailureRethrown(trace, config, /*fail_after=*/-1);
 }
 
 }  // namespace
