@@ -15,9 +15,9 @@
  *
  * Flags: the shared bench sweep flags (--jobs/--deadline-s/--retries/
  * --ckpt/--resume, see bench/workloads.h) plus --smoke, which shrinks
- * the grid to one burst intensity for CI, and --shards N, which runs
- * every cell through the sharded windowed cluster engine (N worker
- * threads per cell; results are shard-count invariant).
+ * the grid to one burst intensity for CI, and --shards N (default 1,
+ * must be >= 1), the worker threads each cell's cluster runs on.
+ * Results are shard-count invariant, so the table never depends on N.
  */
 #include <algorithm>
 #include <cstdlib>
@@ -204,7 +204,7 @@ main(int argc, char** argv)
 {
     const bench::BenchOptions options = bench::parseBenchArgs(argc, argv);
     bool smoke = false;
-    std::size_t shards = 0;
+    std::size_t shards = 1;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;

@@ -88,15 +88,16 @@ fi
 # invoker exercises the dense platform hot path under checkpointing),
 # and one cluster-sweep bench (fig_overload, whose cells carry the
 # overload counters), so every checkpoint flavour gets the SIGKILL
-# treatment. The fig_overload sweep runs twice: single-threaded legacy
-# cells, then --shards 4 cells through the windowed sharded engine,
-# whose payloads must survive the SIGKILL/resume cycle byte-for-byte.
+# treatment. The fig_overload sweep runs twice, at --shards 1 and at
+# --shards 4: each cell's cluster runs on one and on four worker
+# threads, and both runs' payloads must survive the SIGKILL/resume
+# cycle byte-for-byte.
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 STATUS=0
 smoke_one "$ROOT/build/bench/fig6_cold_starts" --jobs 2 || STATUS=1
 smoke_one "$ROOT/build/bench/fig6_cold_starts" --streamed --jobs 2 || STATUS=1
 smoke_one "$ROOT/build/bench/fig7_skewed_workloads" --jobs 2 || STATUS=1
 smoke_one "$ROOT/build/bench/fig8_server_load" --jobs 2 || STATUS=1
-smoke_one "$ROOT/build/bench/fig_overload" --smoke --jobs 2 || STATUS=1
+smoke_one "$ROOT/build/bench/fig_overload" --smoke --jobs 2 --shards 1 || STATUS=1
 smoke_one "$ROOT/build/bench/fig_overload" --smoke --jobs 2 --shards 4 || STATUS=1
 exit $STATUS

@@ -1,21 +1,22 @@
 /**
  * @file
- * Streaming load-balancer helpers shared by the cluster front ends.
+ * Streaming load-balancer helpers of the sharded cluster engine
+ * (cluster_shard.cc).
  *
  * The balancer's primary assignment is a pure function of the arrival
  * stream: RoundRobin and FunctionHash depend only on (index, function),
  * and Random is a sequential draw stream seeded by the cluster seed.
  * Every consumer that replays the stream in order therefore assigns
- * identical primaries — the invariant both the single-threaded cluster
- * paths and the sharded engine (cluster_shard.cc) are built on. This
- * header is internal to src/platform; it exists so the sharded engine
- * can reuse the exact tracker/filter the legacy paths use instead of
- * re-deriving the draw discipline.
+ * identical primaries — the invariant both engine paths are built on:
+ * every shard of a windowed run, and every per-server filter pass of
+ * the fault-free split, replays the same draws. Internal to
+ * src/platform.
  */
 #ifndef FAASCACHE_PLATFORM_BALANCER_STREAM_H_
 #define FAASCACHE_PLATFORM_BALANCER_STREAM_H_
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,21 +27,42 @@
 namespace faascache {
 
 /**
- * The balancer's primary for each arrival, computed in stream order
- * with the exact draw sequence of the materialized path. RoundRobin
- * and FunctionHash primaries are pure functions of (index, function)
- * and cost nothing to recall later; Random primaries are sequential
- * RNG draws, so when `record` is set each draw is kept (4
- * bytes/arrival) for the crash fallout's recall — the one deliberate
- * O(stream) allowance of the streamed cluster (documented on
- * runCluster). The sharded engine never records: attempt counts and
- * primaries travel with cross-shard messages instead.
+ * Validate the next arrival of a cluster stream: arrivals must be
+ * globally non-decreasing and name a function of the catalog. `last`
+ * is the previous arrival time (0 before the first) and is advanced.
+ * @throws std::runtime_error on either violation.
+ */
+inline void
+checkClusterArrival(const Invocation& inv, TimeUs& last,
+                    std::size_t catalog_size)
+{
+    if (inv.arrival_us < last) {
+        throw std::runtime_error(
+            "runCluster: source arrivals out of order (" +
+            std::to_string(inv.arrival_us) + " after " +
+            std::to_string(last) + ")");
+    }
+    if (inv.function >= catalog_size) {
+        throw std::runtime_error(
+            "runCluster: source function id " +
+            std::to_string(inv.function) + " out of range (catalog " +
+            std::to_string(catalog_size) + ")");
+    }
+    last = inv.arrival_us;
+}
+
+/**
+ * The balancer's primary for each arrival, computed in stream order.
+ * RoundRobin and FunctionHash primaries are pure functions of (index,
+ * function); Random primaries are sequential RNG draws, so the tracker
+ * must see every arrival once, in order. The engine never recalls a
+ * primary later: it travels with each cross-shard message instead.
  */
 class PrimaryTracker
 {
   public:
-    PrimaryTracker(const ClusterConfig& config, bool record)
-        : config_(&config), rng_(config.seed), record_(record)
+    explicit PrimaryTracker(const ClusterConfig& config)
+        : config_(&config), rng_(config.seed)
     {
     }
 
@@ -48,30 +70,9 @@ class PrimaryTracker
     std::size_t onArrival(std::size_t index, const Invocation& inv)
     {
         switch (config_->balancing) {
-          case LoadBalancing::Random: {
-            const auto draw = static_cast<std::size_t>(
-                rng_.uniformInt(config_->num_servers));
-            if (record_)
-                draws_.push_back(static_cast<std::uint32_t>(draw));
-            return draw;
-          }
-          case LoadBalancing::RoundRobin:
-            return index % config_->num_servers;
-          case LoadBalancing::FunctionHash:
-            break;
-        }
-        return static_cast<std::size_t>(
-            Rng::hashMix(inv.function ^ config_->seed) %
-            config_->num_servers);
-    }
-
-    /** Primary of an already-seen arrival. @pre record was set for
-     *  Random balancing. */
-    std::size_t recall(std::size_t index, const Invocation& inv) const
-    {
-        switch (config_->balancing) {
           case LoadBalancing::Random:
-            return draws_.at(index);
+            return static_cast<std::size_t>(
+                rng_.uniformInt(config_->num_servers));
           case LoadBalancing::RoundRobin:
             return index % config_->num_servers;
           case LoadBalancing::FunctionHash:
@@ -85,8 +86,6 @@ class PrimaryTracker
   private:
     const ClusterConfig* config_;
     Rng rng_;
-    bool record_;
-    std::vector<std::uint32_t> draws_;
 };
 
 /**
@@ -94,24 +93,23 @@ class PrimaryTracker
  * filter view over the shared source that consumes one balancer draw
  * per inner invocation (in stream order, so every pass replays the
  * identical draw sequence) and emits only the invocations routed to
- * this server. Streaming analogue of runClusterSplit()'s shards —
- * function ids pass through untouched, every shard keeps the full
- * catalog. Non-owning; reset() rewinds the shared source.
+ * this server — function ids pass through untouched, every server
+ * keeps the full catalog. Non-owning; reset() rewinds the shared
+ * source. Every inner arrival is validated with checkClusterArrival(),
+ * so a globally unsorted stream fails here exactly as it does in the
+ * windowed engine, even when each server's share happens to be sorted.
  *
- * The count hint is caller-provided: the legacy streamed split runs a
- * counting pass for exact hints, the sharded split passes an inexact
- * estimate instead (hints are allocation-only by the InvocationSource
- * contract, so results cannot differ).
+ * The count hint is an inexact estimate, roughly 1/n of the inner
+ * stream (hints are allocation-only by the InvocationSource contract).
  */
 class BalancerFilterSource final : public InvocationSource
 {
   public:
     BalancerFilterSource(InvocationSource& inner,
-                         const ClusterConfig& config, std::size_t server,
-                         SourceCountHint hint)
-        : inner_(&inner), config_(&config), server_(server), hint_(hint),
+                         const ClusterConfig& config, std::size_t server)
+        : inner_(&inner), config_(&config), server_(server),
           name_(inner.name() + "-server" + std::to_string(server)),
-          tracker_(config, /*record=*/false)
+          tracker_(config)
     {
     }
 
@@ -142,12 +140,17 @@ class BalancerFilterSource final : public InvocationSource
     void reset() override
     {
         inner_->reset();
-        tracker_ = PrimaryTracker(*config_, /*record=*/false);
+        tracker_ = PrimaryTracker(*config_);
         index_ = 0;
+        last_arrival_ = 0;
         has_pending_ = false;
     }
 
-    SourceCountHint countHint() const override { return hint_; }
+    SourceCountHint countHint() const override
+    {
+        return SourceCountHint{
+            inner_->countHint().count / config_->num_servers + 16, false};
+    }
 
   private:
     /** Consume inner arrivals (and their draws) until one is ours. */
@@ -157,6 +160,8 @@ class BalancerFilterSource final : public InvocationSource
             Invocation inv;
             if (!inner_->next(inv))
                 return false;
+            checkClusterArrival(inv, last_arrival_,
+                                inner_->functions().size());
             if (tracker_.onArrival(index_++, inv) == server_) {
                 pending_ = inv;
                 has_pending_ = true;
@@ -168,10 +173,10 @@ class BalancerFilterSource final : public InvocationSource
     InvocationSource* inner_;
     const ClusterConfig* config_;
     std::size_t server_;
-    SourceCountHint hint_;
     std::string name_;
     PrimaryTracker tracker_;
     std::size_t index_ = 0;
+    TimeUs last_arrival_ = 0;
     Invocation pending_;
     bool has_pending_ = false;
 };

@@ -1,15 +1,10 @@
 #include "platform/cluster.h"
 
-#include "platform/balancer_stream.h"
-
-#include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
-#include "engine/event_engine.h"
-#include "sim/sweep_runner.h"
-#include "util/rng.h"
+#include "trace/invocation_source.h"
 
 namespace faascache {
 
@@ -47,6 +42,9 @@ ClusterConfig::validate() const
     if (num_servers == 0) {
         throw std::invalid_argument(
             "ClusterConfig: num_servers must be > 0");
+    }
+    if (shards == 0) {
+        throw std::invalid_argument("ClusterConfig: shards must be >= 1");
     }
     server.validate();
     faults.validate(num_servers);
@@ -129,851 +127,16 @@ ClusterResult::meanLatencySec() const
     return count > 0 ? sum / static_cast<double>(count) : 0.0;
 }
 
-namespace {
-
-/**
- * The balancer's primary server for every invocation, in trace order.
- * Shared by both paths so the fault-aware simulation assigns the same
- * primaries (and consumes the same random stream) as the split replay.
- */
-std::vector<std::size_t>
-primaryTargets(const Trace& trace, const ClusterConfig& config)
-{
-    std::vector<std::size_t> targets;
-    targets.reserve(trace.invocations().size());
-    Rng rng(config.seed);
-    std::size_t next_round_robin = 0;
-    for (const auto& inv : trace.invocations()) {
-        std::size_t target = 0;
-        switch (config.balancing) {
-          case LoadBalancing::Random:
-            target = static_cast<std::size_t>(
-                rng.uniformInt(config.num_servers));
-            break;
-          case LoadBalancing::RoundRobin:
-            target = next_round_robin;
-            next_round_robin =
-                (next_round_robin + 1) % config.num_servers;
-            break;
-          case LoadBalancing::FunctionHash:
-            target = static_cast<std::size_t>(
-                Rng::hashMix(inv.function ^ config.seed) %
-                config.num_servers);
-            break;
-        }
-        targets.push_back(target);
-    }
-    return targets;
-}
-
-/** Independent-server replay (the original, fault-free fast path). */
-ClusterResult
-runClusterSplit(const Trace& trace, PolicyKind kind,
-                const ClusterConfig& config,
-                const PolicyConfig& policy_config)
-{
-    // Split the invocation stream by the balancing policy. Every
-    // sub-trace carries the full function catalog so function ids stay
-    // stable across servers.
-    const std::vector<std::size_t> targets = primaryTargets(trace, config);
-    std::vector<std::size_t> shard_sizes(config.num_servers, 0);
-    for (std::size_t target : targets)
-        ++shard_sizes[target];
-
-    std::vector<Trace> shards(config.num_servers);
-    for (std::size_t s = 0; s < config.num_servers; ++s) {
-        shards[s].setName(trace.name() + "-server" + std::to_string(s));
-        shards[s].reserveFunctions(trace.functions().size());
-        shards[s].reserveInvocations(shard_sizes[s]);
-        for (const auto& fn : trace.functions())
-            shards[s].addFunction(fn);
-    }
-
-    for (std::size_t i = 0; i < trace.invocations().size(); ++i) {
-        const auto& inv = trace.invocations()[i];
-        shards[targets[i]].addInvocation(inv.function, inv.arrival_us);
-    }
-
-    ClusterResult result;
-    result.servers.reserve(config.num_servers);
-    for (std::size_t s = 0; s < config.num_servers; ++s) {
-        Server server(makePolicy(kind, policy_config), config.server);
-        result.servers.push_back(server.run(shards[s]));
-    }
-    return result;
-}
-
-/**
- * Streamed independent-server replay: one counting pass replays the
- * balancer to size each shard, then every server consumes its
- * balancer-filter view of the shared source — n+1 passes over the
- * stream, zero materialization.
- */
-ClusterResult
-runClusterSplitStreamed(InvocationSource& source, PolicyKind kind,
-                        const ClusterConfig& config,
-                        const PolicyConfig& policy_config)
-{
-    source.reset();
-    std::vector<std::size_t> shard_sizes(config.num_servers, 0);
-    {
-        PrimaryTracker tracker(config, /*record=*/false);
-        std::size_t index = 0;
-        Invocation inv;
-        while (source.next(inv))
-            ++shard_sizes[tracker.onArrival(index++, inv)];
-    }
-
-    ClusterResult result;
-    result.servers.reserve(config.num_servers);
-    for (std::size_t s = 0; s < config.num_servers; ++s) {
-        BalancerFilterSource shard(source, config, s,
-                                   SourceCountHint{shard_sizes[s], true});
-        Server server(makePolicy(kind, policy_config), config.server);
-        result.servers.push_back(server.run(shard));
-    }
-    return result;
-}
-
-/**
- * Front-end event of the health-aware simulation.
- * payload/payload2 carry: Dispatch — invocation index / attempt number;
- * Crash — expanded-crash-schedule index; Restart — rejoining server
- * index; OomKill — oom-plan index.
- */
-enum class FrontEndEvent
-{
-    Dispatch,  ///< route an invocation (possibly a retry attempt)
-    Crash,     ///< a crash event of the plan fires (Failure lane)
-    Restart,   ///< a crashed server rejoins
-    OomKill,   ///< a memory-pressure kill fires (Failure lane)
-};
-
-/**
- * Interleaved health-aware simulation, Reference backend: one global
- * front-end event loop feeding incremental servers, with every
- * attempt-0 dispatch prescheduled in the heap by trace index and crash
- * fallout re-dispatched under the failover policy. The Dense backend
- * runs runClusterFaultAwareStreamed() instead; this path is the
- * differential-testing oracle it is compared against.
- */
-ClusterResult
-runClusterFaultAware(const Trace& trace, PolicyKind kind,
-                     const ClusterConfig& config,
-                     const PolicyConfig& policy_config)
-{
-    const std::size_t n = config.num_servers;
-    const FailoverConfig& failover = config.failover;
-
-    // One expansion of the crash schedule (explicit crashes + burst
-    // victims) shared by the front end and every injector, so a burst
-    // victim's self-view matches the front end's plan.
-    const std::vector<CrashEvent> crashes =
-        config.faults.expandedCrashes(n);
-    const std::vector<OomKillEvent>& ooms = config.faults.oom_kills;
-
-    Auditor* audit =
-        config.server.audit != nullptr && config.server.audit->enabled()
-        ? config.server.audit
-        : nullptr;
-
-    std::vector<FaultInjector> injectors;
-    injectors.reserve(n);
-    std::vector<std::unique_ptr<Server>> servers;
-    servers.reserve(n);
-    for (std::size_t s = 0; s < n; ++s) {
-        injectors.emplace_back(config.faults, s, n);
-        servers.push_back(std::make_unique<Server>(
-            makePolicy(kind, policy_config), config.server));
-        servers.back()->setFaultInjector(&injectors[s]);
-        servers.back()->begin(trace);
-    }
-
-    EventCore<FrontEndEvent> events;
-    events.bindCancellation(config.server.cancel);
-    events.bindAuditor(audit);
-    const std::vector<std::size_t> primaries =
-        primaryTargets(trace, config);
-    events.reserve(trace.invocations().size() + crashes.size() +
-                   ooms.size());
-    for (std::size_t i = 0; i < trace.invocations().size(); ++i) {
-        events.schedule(trace.invocations()[i].arrival_us,
-                        FrontEndEvent::Dispatch, i);
-    }
-    for (std::size_t k = 0; k < crashes.size(); ++k) {
-        events.scheduleFailure(crashes[k].at_us, FrontEndEvent::Crash, k);
-    }
-    for (std::size_t k = 0; k < ooms.size(); ++k) {
-        events.scheduleFailure(ooms[k].at_us, FrontEndEvent::OomKill, k);
-    }
-
-    // Per-server partition windows with a monotonic cursor each:
-    // front-end event times never decrease, so one forward scan per
-    // server answers every "is s reachable now" query in O(1) amortized.
-    std::vector<std::vector<PartitionWindow>> partition_windows(n);
-    std::vector<std::size_t> partition_cursor(n, 0);
-    for (std::size_t s = 0; s < n; ++s)
-        partition_windows[s] = config.faults.partitionsFor(s);
-    auto partitioned = [&](std::size_t s, TimeUs now) {
-        const auto& wins = partition_windows[s];
-        std::size_t& cur = partition_cursor[s];
-        while (cur < wins.size() && wins[cur].until_us <= now)
-            ++cur;
-        return cur < wins.size() && wins[cur].from_us <= now;
-    };
-
-    ClusterResult result;
-    std::vector<char> down(n, 0);
-    std::vector<int> attempts(trace.invocations().size(), 0);
-    TimeUs last_event_us = 0;
-
-    // Per-server overload defenses: retry token buckets and circuit
-    // breakers. Breakers are driven by diffing each server's monotonic
-    // failure/success counters at settle points, so the signal is a
-    // pure function of simulation state — deterministic for any --jobs.
-    std::vector<RetryBudget> budgets(
-        n, RetryBudget(failover.retry_budget));
-    std::vector<CircuitBreaker> breakers(
-        n, CircuitBreaker(failover.breaker));
-    std::vector<std::int64_t> seen_failures(n, 0);
-    std::vector<std::int64_t> seen_successes(n, 0);
-    const bool breaker_on = failover.breaker.enabled();
-    auto observeServer = [&](std::size_t s, TimeUs now) {
-        const std::int64_t failures = servers[s]->spawnFailureCount() +
-            servers[s]->queueTimeoutDropCount();
-        const std::int64_t successes = servers[s]->spawnSuccessCount() +
-            servers[s]->warmStartCount();
-        // Failures first so a settle window containing both ends on the
-        // success (the server's latest state is "making progress").
-        for (; seen_failures[s] < failures; ++seen_failures[s])
-            breakers[s].recordFailure(now);
-        for (; seen_successes[s] < successes; ++seen_successes[s])
-            breakers[s].recordSuccess(now);
-    };
-
-    // Jitter stream: one splitmix-derived draw per (request, attempt),
-    // independent of the balancer's stream and of every other request.
-    const std::uint64_t jitter_base =
-        deriveCellSeed(config.seed, 0xBACC0FFEULL);
-
-    // Bounded re-dispatch with jittered exponential backoff under the
-    // per-request timeout budget; exhaustion fails the request. The
-    // retry debits `provoker`'s token bucket — the server whose crash
-    // or outage caused it — so one sick server cannot spend the whole
-    // fleet's retry capacity.
-    auto scheduleRetry = [&](std::size_t index, TimeUs now,
-                             std::size_t provoker) {
-        if (attempts[index] >= failover.max_retries) {
-            ++result.failed_requests;
-            return;
-        }
-        if (!budgets[provoker].trySpend()) {
-            ++result.failed_requests;
-            ++result.retry_budget_exhausted;
-            return;
-        }
-        const int shift = std::min(attempts[index], 20);
-        TimeUs backoff = failover.base_backoff_us << shift;
-        if (failover.backoff_jitter_frac > 0.0) {
-            const std::uint64_t draw = deriveCellSeed(
-                jitter_base,
-                (static_cast<std::uint64_t>(index) << 8) |
-                    (static_cast<std::uint64_t>(attempts[index]) & 0xff));
-            const auto span = static_cast<std::uint64_t>(
-                static_cast<double>(backoff) *
-                failover.backoff_jitter_frac) + 1;
-            backoff += static_cast<TimeUs>(draw % span);
-        }
-        const TimeUs at = now + backoff;
-        const TimeUs arrival = trace.invocations()[index].arrival_us;
-        if (at - arrival > failover.request_timeout_us) {
-            ++result.failed_requests;
-            return;
-        }
-        ++attempts[index];
-        ++result.retries;
-        events.schedule(at, FrontEndEvent::Dispatch, index,
-                        static_cast<std::uint64_t>(attempts[index]));
-    };
-
-    while (!events.empty()) {
-        const EngineEvent<FrontEndEvent> event = events.pop();
-        const TimeUs now = event.time_us;
-        last_event_us = std::max(last_event_us, now);
-        // Settle all servers so queue depths and health are current.
-        for (std::size_t s = 0; s < n; ++s) {
-            servers[s]->advanceTo(now);
-            if (breaker_on)
-                observeServer(s, now);
-        }
-        if (audit != nullptr) {
-            for (std::size_t s = 0; s < n; ++s) {
-                // Token bucket bounded; a breaker can only close what
-                // it opened (a failed half-open probe re-opens without
-                // an intervening close, so opens may run ahead of
-                // closes by more than one).
-                const double tokens = budgets[s].tokens();
-                audit->require(
-                    tokens >= -1e-9 &&
-                        tokens <= failover.retry_budget.burst + 1e-9,
-                    "retry-budget-bounds", now,
-                    static_cast<std::int64_t>(s),
-                    "retry tokens outside [0, burst]");
-                audit->require(
-                    breakers[s].closes() <= breakers[s].opens(),
-                    "breaker-transitions", now,
-                    static_cast<std::int64_t>(s),
-                    "more closes than opens");
-            }
-        }
-
-        switch (event.kind) {
-          case FrontEndEvent::Crash: {
-            const CrashEvent& ce =
-                crashes[static_cast<std::size_t>(event.payload)];
-            // Crashes ride the Failure lane, so a restart due at this
-            // same instant has already run; a server still down here is
-            // inside a wider outage that absorbs this crash.
-            if (down[ce.server])
-                break;
-            const Server::CrashFallout fallout =
-                servers[ce.server]->crash(now);
-            down[ce.server] = 1;
-            if (ce.restart_after_us > 0) {
-                events.schedule(now + ce.restart_after_us,
-                                FrontEndEvent::Restart, ce.server);
-            }
-            // Everything the crash spilled goes back to the front end,
-            // spending the crashed server's retry budget.
-            for (const Server::SpilledRequest& spilled : fallout.aborted)
-                scheduleRetry(spilled.invocation_index, now, ce.server);
-            for (const Server::SpilledRequest& spilled :
-                 fallout.flushed_queue)
-                scheduleRetry(spilled.invocation_index, now, ce.server);
-            break;
-          }
-          case FrontEndEvent::Restart: {
-            const auto server = static_cast<std::size_t>(event.payload);
-            servers[server]->restart(now);
-            down[server] = 0;
-            break;
-          }
-          case FrontEndEvent::OomKill: {
-            const OomKillEvent& oe =
-                ooms[static_cast<std::size_t>(event.payload)];
-            // A kill scheduled inside a crash outage has nothing left
-            // to kill — the crash already flushed every container.
-            if (down[oe.server])
-                break;
-            const auto aborted = servers[oe.server]->oomKill(now);
-            // The aborted invocation goes back to the front end like
-            // crash fallout, debiting the killing server's budget.
-            if (aborted.has_value())
-                scheduleRetry(aborted->invocation_index, now, oe.server);
-            break;
-          }
-          case FrontEndEvent::Dispatch: {
-            const auto index = static_cast<std::size_t>(event.payload);
-            const int attempt = static_cast<int>(event.payload2);
-            // Probe servers starting at the primary (retries start
-            // offset by the attempt number so they prefer a different
-            // server than the one that just failed).
-            const std::size_t primary = primaries[index];
-            const std::size_t start =
-                (primary + static_cast<std::size_t>(attempt)) % n;
-            std::size_t chosen = n;
-            bool any_healthy = false;
-            for (std::size_t k = 0; k < n; ++k) {
-                const std::size_t s = (start + k) % n;
-                if (down[s])
-                    continue;
-                // A partitioned server is unreachable, not unhealthy:
-                // it keeps draining its queue, but new dispatches fail
-                // fast and fall through to the next probe. Like a
-                // crash, it does not count as healthy — if every
-                // reachable server is gone the request backs off and
-                // retries rather than being shed.
-                if (partitioned(s, now)) {
-                    ++result.partition_unreachable;
-                    continue;
-                }
-                // An open breaker means "treat as down": route around
-                // it, and if the whole fleet is open, back off and
-                // retry instead of shedding — the breakers re-probe.
-                if (!breakers[s].allowRequest(now))
-                    continue;
-                any_healthy = true;
-                if (failover.shed_queue_depth > 0 &&
-                    servers[s]->queueDepth() >=
-                        failover.shed_queue_depth) {
-                    continue;
-                }
-                chosen = s;
-                break;
-            }
-            if (chosen == n) {
-                if (any_healthy) {
-                    // Overload, not outage: shed instead of buffering
-                    // into a queue that would only time out.
-                    ++result.shed_requests;
-                } else {
-                    scheduleRetry(index, now, primary);
-                }
-                break;
-            }
-            if (chosen != primary)
-                ++result.failovers;
-            if (attempt == 0)
-                budgets[chosen].onFreshArrival();
-            servers[chosen]->offer(index, now,
-                                   /*redispatched=*/attempt > 0);
-            break;
-          }
-        }
-    }
-
-    TimeUs horizon = last_event_us;
-    if (!trace.invocations().empty()) {
-        horizon = std::max(horizon,
-                           trace.invocations().back().arrival_us);
-    }
-    horizon += config.server.queue_timeout_us;
-
-    result.servers.reserve(n);
-    for (std::size_t s = 0; s < n; ++s) {
-        result.servers.push_back(servers[s]->finish(horizon));
-        result.breaker_opens += breakers[s].opens();
-        result.breaker_closes += breakers[s].closes();
-        result.breaker_probes += breakers[s].probes();
-    }
-    if (audit != nullptr) {
-        // Fleet-wide request conservation: every trace invocation ends
-        // in exactly one of served-on-a-server, dropped-by-a-server,
-        // shed by admission control, or failed after retries.
-        std::int64_t terminal =
-            result.shed_requests + result.failed_requests;
-        for (const PlatformResult& s : result.servers)
-            terminal += s.served() + s.dropped();
-        const auto expected =
-            static_cast<std::int64_t>(trace.invocations().size());
-        if (terminal != expected) {
-            audit->fail("fleet-conservation", horizon, -1,
-                        "trace invocations " + std::to_string(expected) +
-                            " != shed + failed + sum(served + dropped) " +
-                            std::to_string(terminal));
-        }
-    }
-    return result;
-}
-
-/**
- * Interleaved health-aware simulation, Dense backend: the front-end
- * loop merges the arrival cursor against its event heap with "arrival
- * wins all ties" (the reference setup hands attempt-0 dispatches the
- * lowest sequence numbers, so at any shared timestamp they deliver
- * before every retry, restart, and Failure-lane crash), servers are
- * driven through the catalog begin() and the Invocation-carrying
- * offer(), and per-request retry state lives in a sparse map keyed by
- * stream index — only requests actually spilled by a fault ever
- * allocate an entry. Decision-for-decision identical to
- * runClusterFaultAware(), which platform_differential_test enforces.
- */
-ClusterResult
-runClusterFaultAwareStreamed(InvocationSource& source, PolicyKind kind,
-                             const ClusterConfig& config,
-                             const PolicyConfig& policy_config)
-{
-    const std::size_t n = config.num_servers;
-    const FailoverConfig& failover = config.failover;
-
-    // One expansion of the crash schedule (explicit crashes + burst
-    // victims) shared by the front end and every injector, so a burst
-    // victim's self-view matches the front end's plan.
-    const std::vector<CrashEvent> crashes =
-        config.faults.expandedCrashes(n);
-    const std::vector<OomKillEvent>& ooms = config.faults.oom_kills;
-
-    Auditor* audit =
-        config.server.audit != nullptr && config.server.audit->enabled()
-        ? config.server.audit
-        : nullptr;
-
-    source.reset();
-    const std::vector<FunctionSpec>& catalog = source.functions();
-    const SourceCountHint hint = source.countHint();
-
-    std::vector<FaultInjector> injectors;
-    injectors.reserve(n);
-    std::vector<std::unique_ptr<Server>> servers;
-    servers.reserve(n);
-    for (std::size_t s = 0; s < n; ++s) {
-        injectors.emplace_back(config.faults, s, n);
-        servers.push_back(std::make_unique<Server>(
-            makePolicy(kind, policy_config), config.server));
-        servers.back()->setFaultInjector(&injectors[s]);
-        // Sizing hint only: each server sees roughly 1/n of the stream.
-        servers.back()->begin(catalog, hint.count / n + 16);
-    }
-
-    EventCore<FrontEndEvent> events;
-    events.bindCancellation(config.server.cancel);
-    events.bindAuditor(audit);
-    // Attempt-0 dispatches are delivered straight off the sorted stream
-    // by the cursor merge below; only the fault plan is scheduled up
-    // front (retries and restarts arrive at runtime).
-    events.reserve(crashes.size() + ooms.size() + 64);
-    std::vector<EventBatchItem<FrontEndEvent>> setup;
-    setup.reserve(std::max(crashes.size(), ooms.size()));
-    for (std::size_t k = 0; k < crashes.size(); ++k) {
-        EventBatchItem<FrontEndEvent> item;
-        item.time_us = crashes[k].at_us;
-        item.kind = FrontEndEvent::Crash;
-        item.payload = k;
-        setup.push_back(item);
-    }
-    events.scheduleBatch(setup, EventLane::Failure);
-    setup.clear();
-    for (std::size_t k = 0; k < ooms.size(); ++k) {
-        EventBatchItem<FrontEndEvent> item;
-        item.time_us = ooms[k].at_us;
-        item.kind = FrontEndEvent::OomKill;
-        item.payload = k;
-        setup.push_back(item);
-    }
-    events.scheduleBatch(setup, EventLane::Failure);
-
-    // Per-server partition windows with a monotonic cursor each (see
-    // runClusterFaultAware).
-    std::vector<std::vector<PartitionWindow>> partition_windows(n);
-    std::vector<std::size_t> partition_cursor(n, 0);
-    for (std::size_t s = 0; s < n; ++s)
-        partition_windows[s] = config.faults.partitionsFor(s);
-    auto partitioned = [&](std::size_t s, TimeUs now) {
-        const auto& wins = partition_windows[s];
-        std::size_t& cur = partition_cursor[s];
-        while (cur < wins.size() && wins[cur].until_us <= now)
-            ++cur;
-        return cur < wins.size() && wins[cur].from_us <= now;
-    };
-
-    ClusterResult result;
-    std::vector<char> down(n, 0);
-    TimeUs last_event_us = 0;
-
-    // Retry state, sparse: the reference path's attempts array and
-    // trace lookups collapse into one map entry per request spilled at
-    // least once — everything else streams through untouched.
-    struct RetryEntry
-    {
-        Invocation inv;
-        int attempts = 0;
-    };
-    std::unordered_map<std::size_t, RetryEntry> retry_state;
-
-    PrimaryTracker primaries(config, /*record=*/true);
-
-    std::vector<RetryBudget> budgets(
-        n, RetryBudget(failover.retry_budget));
-    std::vector<CircuitBreaker> breakers(
-        n, CircuitBreaker(failover.breaker));
-    std::vector<std::int64_t> seen_failures(n, 0);
-    std::vector<std::int64_t> seen_successes(n, 0);
-    const bool breaker_on = failover.breaker.enabled();
-    auto observeServer = [&](std::size_t s, TimeUs now) {
-        const std::int64_t failures = servers[s]->spawnFailureCount() +
-            servers[s]->queueTimeoutDropCount();
-        const std::int64_t successes = servers[s]->spawnSuccessCount() +
-            servers[s]->warmStartCount();
-        for (; seen_failures[s] < failures; ++seen_failures[s])
-            breakers[s].recordFailure(now);
-        for (; seen_successes[s] < successes; ++seen_successes[s])
-            breakers[s].recordSuccess(now);
-    };
-
-    const std::uint64_t jitter_base =
-        deriveCellSeed(config.seed, 0xBACC0FFEULL);
-
-    // Identical decision sequence to the reference scheduleRetry; the
-    // invocation rides in instead of being looked up in the trace.
-    auto scheduleRetry = [&](std::size_t index, const Invocation& inv,
-                             TimeUs now, std::size_t provoker) {
-        RetryEntry& entry = retry_state[index];
-        entry.inv = inv;
-        if (entry.attempts >= failover.max_retries) {
-            ++result.failed_requests;
-            return;
-        }
-        if (!budgets[provoker].trySpend()) {
-            ++result.failed_requests;
-            ++result.retry_budget_exhausted;
-            return;
-        }
-        const int shift = std::min(entry.attempts, 20);
-        TimeUs backoff = failover.base_backoff_us << shift;
-        if (failover.backoff_jitter_frac > 0.0) {
-            const std::uint64_t draw = deriveCellSeed(
-                jitter_base,
-                (static_cast<std::uint64_t>(index) << 8) |
-                    (static_cast<std::uint64_t>(entry.attempts) & 0xff));
-            const auto span = static_cast<std::uint64_t>(
-                static_cast<double>(backoff) *
-                failover.backoff_jitter_frac) + 1;
-            backoff += static_cast<TimeUs>(draw % span);
-        }
-        const TimeUs at = now + backoff;
-        if (at - inv.arrival_us > failover.request_timeout_us) {
-            ++result.failed_requests;
-            return;
-        }
-        ++entry.attempts;
-        ++result.retries;
-        events.schedule(at, FrontEndEvent::Dispatch, index,
-                        static_cast<std::uint64_t>(entry.attempts));
-    };
-
-    std::size_t cursor_index = 0;
-    TimeUs last_arrival = 0;
-    Invocation arr;
-    for (;;) {
-        const bool have_arrival = source.peek(arr);
-        if (!have_arrival && events.empty())
-            break;
-        EngineEvent<FrontEndEvent> event;
-        Invocation dispatch_inv;
-        bool from_cursor = false;
-        if (have_arrival &&
-            (events.empty() || arr.arrival_us <= events.nextTime())) {
-            if (config.server.cancel != nullptr)
-                config.server.cancel->throwIfCancelled();
-            source.next(dispatch_inv);
-            if (dispatch_inv.arrival_us < last_arrival) {
-                throw std::runtime_error(
-                    "runCluster: source arrivals out of order (" +
-                    std::to_string(dispatch_inv.arrival_us) + " after " +
-                    std::to_string(last_arrival) + ")");
-            }
-            if (dispatch_inv.function >= catalog.size()) {
-                throw std::runtime_error(
-                    "runCluster: source function id " +
-                    std::to_string(dispatch_inv.function) +
-                    " out of range (catalog " +
-                    std::to_string(catalog.size()) + ")");
-            }
-            last_arrival = dispatch_inv.arrival_us;
-            event.time_us = dispatch_inv.arrival_us;
-            event.kind = FrontEndEvent::Dispatch;
-            event.payload = cursor_index++;
-            from_cursor = true;
-        } else {
-            event = events.pop();
-        }
-        const TimeUs now = event.time_us;
-        last_event_us = std::max(last_event_us, now);
-        // Settle all servers so queue depths and health are current.
-        for (std::size_t s = 0; s < n; ++s) {
-            servers[s]->advanceTo(now);
-            if (breaker_on)
-                observeServer(s, now);
-        }
-        if (audit != nullptr) {
-            for (std::size_t s = 0; s < n; ++s) {
-                const double tokens = budgets[s].tokens();
-                audit->require(
-                    tokens >= -1e-9 &&
-                        tokens <= failover.retry_budget.burst + 1e-9,
-                    "retry-budget-bounds", now,
-                    static_cast<std::int64_t>(s),
-                    "retry tokens outside [0, burst]");
-                audit->require(
-                    breakers[s].closes() <= breakers[s].opens(),
-                    "breaker-transitions", now,
-                    static_cast<std::int64_t>(s),
-                    "more closes than opens");
-            }
-        }
-
-        switch (event.kind) {
-          case FrontEndEvent::Crash: {
-            const CrashEvent& ce =
-                crashes[static_cast<std::size_t>(event.payload)];
-            if (down[ce.server])
-                break;
-            const Server::CrashFallout fallout =
-                servers[ce.server]->crash(now);
-            down[ce.server] = 1;
-            if (ce.restart_after_us > 0) {
-                events.schedule(now + ce.restart_after_us,
-                                FrontEndEvent::Restart, ce.server);
-            }
-            for (const Server::SpilledRequest& spilled : fallout.aborted)
-                scheduleRetry(spilled.invocation_index, spilled.inv, now,
-                              ce.server);
-            for (const Server::SpilledRequest& spilled :
-                 fallout.flushed_queue)
-                scheduleRetry(spilled.invocation_index, spilled.inv, now,
-                              ce.server);
-            break;
-          }
-          case FrontEndEvent::Restart: {
-            const auto server = static_cast<std::size_t>(event.payload);
-            servers[server]->restart(now);
-            down[server] = 0;
-            break;
-          }
-          case FrontEndEvent::OomKill: {
-            const OomKillEvent& oe =
-                ooms[static_cast<std::size_t>(event.payload)];
-            if (down[oe.server])
-                break;
-            const auto aborted = servers[oe.server]->oomKill(now);
-            if (aborted.has_value())
-                scheduleRetry(aborted->invocation_index, aborted->inv,
-                              now, oe.server);
-            break;
-          }
-          case FrontEndEvent::Dispatch: {
-            const auto index = static_cast<std::size_t>(event.payload);
-            const int attempt = static_cast<int>(event.payload2);
-            // Heap dispatches are always retries (attempt >= 1): the
-            // cursor merge never schedules attempt 0 there.
-            const Invocation inv =
-                from_cursor ? dispatch_inv : retry_state.at(index).inv;
-            const std::size_t primary = from_cursor
-                ? primaries.onArrival(index, inv)
-                : primaries.recall(index, inv);
-            const std::size_t start =
-                (primary + static_cast<std::size_t>(attempt)) % n;
-            std::size_t chosen = n;
-            bool any_healthy = false;
-            for (std::size_t k = 0; k < n; ++k) {
-                const std::size_t s = (start + k) % n;
-                if (down[s])
-                    continue;
-                if (partitioned(s, now)) {
-                    ++result.partition_unreachable;
-                    continue;
-                }
-                if (!breakers[s].allowRequest(now))
-                    continue;
-                any_healthy = true;
-                if (failover.shed_queue_depth > 0 &&
-                    servers[s]->queueDepth() >=
-                        failover.shed_queue_depth) {
-                    continue;
-                }
-                chosen = s;
-                break;
-            }
-            if (chosen == n) {
-                if (any_healthy) {
-                    ++result.shed_requests;
-                } else {
-                    scheduleRetry(index, inv, now, primary);
-                }
-                break;
-            }
-            if (chosen != primary)
-                ++result.failovers;
-            if (attempt == 0)
-                budgets[chosen].onFreshArrival();
-            servers[chosen]->offer(index, inv, now,
-                                   /*redispatched=*/attempt > 0);
-            break;
-          }
-        }
-    }
-
-    const TimeUs horizon = last_event_us + config.server.queue_timeout_us;
-
-    result.servers.reserve(n);
-    for (std::size_t s = 0; s < n; ++s) {
-        result.servers.push_back(servers[s]->finish(horizon));
-        result.breaker_opens += breakers[s].opens();
-        result.breaker_closes += breakers[s].closes();
-        result.breaker_probes += breakers[s].probes();
-    }
-    if (audit != nullptr) {
-        // Fleet-wide request conservation over the stream length.
-        std::int64_t terminal =
-            result.shed_requests + result.failed_requests;
-        for (const PlatformResult& s : result.servers)
-            terminal += s.served() + s.dropped();
-        const auto expected = static_cast<std::int64_t>(cursor_index);
-        if (terminal != expected) {
-            audit->fail("fleet-conservation", horizon, -1,
-                        "stream invocations " + std::to_string(expected) +
-                            " != shed + failed + sum(served + dropped) " +
-                            std::to_string(terminal));
-        }
-    }
-    return result;
-}
-
-}  // namespace
-
 ClusterResult
 runCluster(const Trace& trace, PolicyKind kind, const ClusterConfig& config,
            const PolicyConfig& policy_config)
 {
-    config.validate();
-    if (config.shards > 0 &&
-        config.server.platform_backend != PlatformBackend::Reference) {
-        // Sharded engine (cluster_shard.cc): each shard replays the
-        // trace through its own non-owning cursor.
-        ShardedWorkload workload;
-        workload.make_full = [&trace] {
-            return std::make_unique<TraceSource>(trace);
-        };
-        return runCluster(workload, kind, config, policy_config);
-    }
-    // The independent-server fast path is only equivalent when no
-    // front-end machinery can fire: no faults, no admission mark, no
-    // retry budget, no breakers. Server-local overload features run
-    // identically on both paths (they live inside Server).
-    if (config.faults.empty() && config.failover.shed_queue_depth == 0 &&
-        !config.failover.retry_budget.enabled() &&
-        !config.failover.breaker.enabled())
-        return runClusterSplit(trace, kind, config, policy_config);
-    if (config.server.platform_backend == PlatformBackend::Reference)
-        return runClusterFaultAware(trace, kind, config, policy_config);
-    // Dense backend: drive the streamed front end off a trace cursor so
-    // both runCluster overloads share one health-aware implementation.
-    TraceSource source(trace);
-    return runClusterFaultAwareStreamed(source, kind, config,
-                                        policy_config);
-}
-
-ClusterResult
-runCluster(InvocationSource& source, PolicyKind kind,
-           const ClusterConfig& config, const PolicyConfig& policy_config)
-{
-    config.validate();
-    if (config.server.platform_backend == PlatformBackend::Reference) {
-        // The oracle path needs random access: materialize once and
-        // replay through the trace overload.
-        const Trace trace = materializeSource(source);
-        return runCluster(trace, kind, config, policy_config);
-    }
-    if (config.shards > 0) {
-        // A lone cursor cannot be re-opened per shard, so sharded runs
-        // of this overload materialize once and fan cursors out over
-        // the trace. Callers that can re-open their stream (.ftrace
-        // regions, generators) should use the ShardedWorkload overload
-        // to keep memory O(catalog + pending work).
-        const Trace trace = materializeSource(source);
-        ShardedWorkload workload;
-        workload.make_full = [&trace] {
-            return std::make_unique<TraceSource>(trace);
-        };
-        return runCluster(workload, kind, config, policy_config);
-    }
-    if (config.faults.empty() && config.failover.shed_queue_depth == 0 &&
-        !config.failover.retry_budget.enabled() &&
-        !config.failover.breaker.enabled())
-        return runClusterSplitStreamed(source, kind, config,
-                                       policy_config);
-    return runClusterFaultAwareStreamed(source, kind, config,
-                                        policy_config);
+    // Every shard replays the trace through its own non-owning cursor.
+    ShardedWorkload workload;
+    workload.make_full = [&trace] {
+        return std::make_unique<TraceSource>(trace);
+    };
+    return runCluster(workload, kind, config, policy_config);
 }
 
 }  // namespace faascache

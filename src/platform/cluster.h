@@ -13,14 +13,19 @@
  *
  * Beyond the paper, the front end is health-aware: a ClusterConfig may
  * carry a FaultPlan (fault_injection.h) of crashes and stochastic
- * faults. Under a non-empty plan the cluster runs an interleaved
- * event simulation — tracking per-server health, failing invocations
- * over to healthy servers, re-dispatching the work a crash spills with
- * bounded retries and exponential backoff under a per-request timeout
- * budget, and shedding load when every healthy server's queue crosses
- * a high-water mark. With an empty plan (and no admission control) the
- * original independent-server replay runs unchanged, so the fault
- * machinery costs nothing when disabled.
+ * faults. The front end then tracks per-server health, fails
+ * invocations over to healthy servers, re-dispatches the work a crash
+ * spills with bounded retries and exponential backoff under a
+ * per-request timeout budget, and sheds load when every healthy
+ * server's queue crosses a high-water mark.
+ *
+ * One engine runs every cluster (cluster_shard.h, DESIGN.md §4i): the
+ * fleet is partitioned into config.shards worker threads. With no
+ * front-end machinery armed (no faults, no shed mark, no retry budget,
+ * no breakers) each server replays its balancer-filtered share of the
+ * stream independently; otherwise the shards advance in lookahead
+ * windows of failover.base_backoff_us and exchange cross-shard effects
+ * at window boundaries. Results never depend on the shard count.
  */
 #ifndef FAASCACHE_PLATFORM_CLUSTER_H_
 #define FAASCACHE_PLATFORM_CLUSTER_H_
@@ -111,29 +116,23 @@ struct ClusterConfig
     /** Seed for randomized balancing. */
     std::uint64_t seed = 1;
 
-    /** Injected faults; an empty plan (the default) disables the
-     *  fault-aware path entirely. */
+    /** Injected faults; an empty plan (the default) injects none. */
     FaultPlan faults;
 
-    /** Failure handling (only consulted on the fault-aware path). */
+    /** Front-end failure handling (inert without faults, shed mark,
+     *  retry budget or breakers). */
     FailoverConfig failover;
 
     /**
      * Worker-thread shards the invoker fleet is partitioned into
-     * (DESIGN.md §4i). 0 (the default) keeps the single-threaded
-     * legacy paths, byte-for-byte. Any N >= 1 runs the sharded engine:
-     * contiguous server ranges per shard, conservative time-windowed
-     * synchronization with the lookahead horizon set to
-     * failover.base_backoff_us, and a deterministic merge — results
-     * are byte-identical for every N >= 1 (including N = 1 and
-     * N > num_servers), but the windowed machinery quantizes
-     * cross-shard forwarding to window boundaries, so fault/overload
-     * runs with N >= 1 are a deliberately distinct (still fully
-     * deterministic) semantic from the legacy N = 0 event interleave.
-     * Fault-free runs match N = 0 exactly. The Reference backend
-     * ignores the knob and stays the single-threaded oracle.
+     * (DESIGN.md §4i): contiguous server ranges per shard, clamped to
+     * one shard per server. Purely an execution grouping — results are
+     * byte-identical for every value. Runs with front-end machinery
+     * synchronize the shards in windows of failover.base_backoff_us,
+     * so a dispatch that fails over to another server lands there at
+     * the next window boundary. Must be >= 1.
      */
-    std::size_t shards = 0;
+    std::size_t shards = 1;
 
     /** Check invariants of the whole tree (servers, faults,
      *  failover). @throws std::invalid_argument. */
@@ -148,7 +147,7 @@ struct ClusterResult
 
     /**
      * @name Front-end robustness accounting
-     * All zero on the fault-free path.
+     * All zero unless front-end machinery is armed.
      * @{
      */
 
@@ -202,39 +201,6 @@ struct ClusterResult
 };
 
 /**
- * Replay `trace` through a cluster. With an empty fault plan and no
- * admission control, the balancer splits the invocation stream into
- * per-server sub-traces (all servers see the full function catalog)
- * and every server runs its share under a fresh policy of `kind` —
- * byte-identical to the pre-fault-injection behaviour. Otherwise the
- * interleaved health-aware simulation described in the file comment
- * runs; every invocation then ends in exactly one of: served on some
- * server, dropped by a server, shed by admission control, or failed
- * after retries.
- */
-ClusterResult runCluster(const Trace& trace, PolicyKind kind,
-                         const ClusterConfig& config,
-                         const PolicyConfig& policy_config = {});
-
-/**
- * Streaming overload (DESIGN.md §4h): replay an arbitrary invocation
- * stream through the cluster. With the Dense backend nothing is ever
- * materialized — the fault-free path runs each server over a
- * balancer-filter view of the stream (one pass per server, replaying
- * the balancer's draws identically per pass), and the health-aware
- * path merges the arrival cursor against the front-end heap exactly
- * like Server::run(InvocationSource&). Peak memory stays
- * O(catalog + pending work), except Random balancing, which records
- * one 4-byte draw per arrival so crash fallout can recall a request's
- * primary server. The Reference backend materializes the source and
- * delegates to the trace overload. Byte-identical to runCluster(Trace)
- * over the equivalent trace.
- */
-ClusterResult runCluster(InvocationSource& source, PolicyKind kind,
-                         const ClusterConfig& config,
-                         const PolicyConfig& policy_config = {});
-
-/**
  * Factory producing a fresh, independent cursor over the same
  * invocation stream. Every cursor must yield the identical sequence
  * (same catalog object contents, same arrivals); the sharded engine
@@ -263,15 +229,23 @@ struct ShardedWorkload
 };
 
 /**
- * Sharded overload: replay a re-openable stream through the cluster
- * with config.shards worker threads (config.shards == 0 is promoted to
- * 1). Results are byte-identical for every shard count; see
- * ClusterConfig::shards for the semantic relationship to the legacy
- * single-threaded paths. Peak memory is O(catalog + pending work) per
- * shard — the sharded engine never records balancer draws, even under
- * Random balancing.
+ * Replay a re-openable stream through the cluster with config.shards
+ * worker threads, each owning a contiguous range of servers and
+ * replaying the stream through its own cursor. Every invocation ends
+ * in exactly one of: served on some server, dropped by a server, shed
+ * by admission control, or failed after retries. Peak memory is
+ * O(catalog + pending work) per shard.
+ * @throws std::runtime_error when the stream's arrivals go backwards
+ *         or name a function outside the catalog (a make_server_stream
+ *         sub-stream is only checked on its own).
  */
 ClusterResult runCluster(const ShardedWorkload& workload, PolicyKind kind,
+                         const ClusterConfig& config,
+                         const PolicyConfig& policy_config = {});
+
+/** Replay a materialized trace: runCluster(ShardedWorkload) over one
+ *  TraceSource cursor per shard. */
+ClusterResult runCluster(const Trace& trace, PolicyKind kind,
                          const ClusterConfig& config,
                          const PolicyConfig& policy_config = {});
 

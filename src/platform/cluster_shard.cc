@@ -39,7 +39,8 @@ cpuRelax()
 std::size_t
 effectiveShards(std::size_t shards, std::size_t num_servers)
 {
-    return std::min(std::max<std::size_t>(shards, 1), num_servers);
+    assert(shards >= 1);
+    return std::min(shards, num_servers);
 }
 
 std::pair<std::size_t, std::size_t>
@@ -431,8 +432,9 @@ runShardWorker(WindowedRun& run, std::size_t shard)
     };
     std::unordered_map<std::size_t, PendingRetry> retry_info;
 
-    // Identical decision sequence to the legacy scheduleRetry, made
-    // local by the traveling attempt count: `provoker` (whose budget
+    // Bounded re-dispatch with jittered exponential backoff under the
+    // per-request timeout budget; exhaustion fails the request. Local
+    // thanks to the traveling attempt count: `provoker` (whose budget
     // is debited) is always owned by this shard. The scheduled fire
     // always crosses the mailbox — even when we own the primary — so
     // the path taken never depends on the shard layout.
@@ -569,7 +571,7 @@ runShardWorker(WindowedRun& run, std::size_t shard)
                                 /*redispatched=*/attempt > 0);
     };
 
-    PrimaryTracker primaries(config, /*record=*/false);
+    PrimaryTracker primaries(config);
     std::size_t cursor_index = 0;
     TimeUs last_arrival = 0;
     Invocation arr;
@@ -643,7 +645,7 @@ runShardWorker(WindowedRun& run, std::size_t shard)
 
         // Phase C: simulate the window [window, window_end) — merge
         // the arrival cursor against the shard heap, arrival wins
-        // ties, exactly like the single-threaded streamed front end.
+        // ties.
         for (;;) {
             const bool have_arrival = source->peek(arr);
             const TimeUs arrival_t =
@@ -657,20 +659,7 @@ runShardWorker(WindowedRun& run, std::size_t shard)
                     config.server.cancel->throwIfCancelled();
                 Invocation inv;
                 source->next(inv);
-                if (inv.arrival_us < last_arrival) {
-                    throw std::runtime_error(
-                        "runCluster: source arrivals out of order (" +
-                        std::to_string(inv.arrival_us) + " after " +
-                        std::to_string(last_arrival) + ")");
-                }
-                if (inv.function >= catalog.size()) {
-                    throw std::runtime_error(
-                        "runCluster: source function id " +
-                        std::to_string(inv.function) +
-                        " out of range (catalog " +
-                        std::to_string(catalog.size()) + ")");
-                }
-                last_arrival = inv.arrival_us;
+                checkClusterArrival(inv, last_arrival, catalog.size());
                 const std::size_t index = cursor_index++;
                 // Every shard replays every draw in stream order; only
                 // the owner of the primary acts on the arrival.
@@ -875,7 +864,7 @@ runClusterShardedWindowed(const SourceFactory& make_source,
         : nullptr;
     if (audit != nullptr) {
         // Every shard consumed the identical stream; fleet-wide
-        // request conservation over its length, as in the legacy paths.
+        // request conservation over its length.
         const std::size_t stream_length = run.shard_stream_length[0];
         for (const std::size_t len : run.shard_stream_length) {
             if (len != stream_length) {
@@ -929,14 +918,7 @@ runClusterSplitSharded(const ShardedWorkload& workload, PolicyKind kind,
                 results[s] = server.run(*sub);
             } else {
                 const auto full = workload.make_full();
-                full->reset();
-                // Inexact sizing hint (hints are allocation-only by
-                // the InvocationSource contract): roughly 1/n of the
-                // stream lands on each server.
-                BalancerFilterSource view(
-                    *full, config, s,
-                    SourceCountHint{full->countHint().count / n + 16,
-                                    false});
+                BalancerFilterSource view(*full, config, s);
                 results[s] = server.run(view);
             }
         }
@@ -974,12 +956,10 @@ runCluster(const ShardedWorkload& workload, PolicyKind kind,
         throw std::invalid_argument(
             "runCluster: ShardedWorkload.make_full is required");
     }
-    if (config.server.platform_backend == PlatformBackend::Reference) {
-        // The single-threaded oracle ignores the shard knob.
-        const auto source = workload.make_full();
-        const Trace trace = materializeSource(*source);
-        return runCluster(trace, kind, config, policy_config);
-    }
+    // The independent-server split is only equivalent when no
+    // front-end machinery can fire: no faults, no admission mark, no
+    // retry budget, no breakers. Server-local overload features run
+    // identically on both paths (they live inside Server).
     if (config.faults.empty() && config.failover.shed_queue_depth == 0 &&
         !config.failover.retry_budget.enabled() &&
         !config.failover.breaker.enabled()) {

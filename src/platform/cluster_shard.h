@@ -30,6 +30,9 @@
  * results are byte-identical for every shard count N >= 1. The shard
  * count is an execution grouping, not a semantic parameter.
  *
+ * Runs with no front-end machinery armed skip the windows entirely:
+ * runClusterSplitSharded() replays each server's share independently.
+ *
  * This header exposes the partition/mailbox/barrier building blocks
  * for tests; the entry point is runCluster(const ShardedWorkload&)
  * declared in cluster.h.
@@ -52,8 +55,8 @@
 namespace faascache {
 
 /**
- * Shards actually used for a fleet of `num_servers`: at least one, at
- * most one per server (an empty shard would have nothing to own).
+ * Shards actually used for a fleet of `num_servers`: at most one per
+ * server (an empty shard would have nothing to own). @pre shards >= 1.
  */
 std::size_t effectiveShards(std::size_t shards, std::size_t num_servers);
 
@@ -186,9 +189,10 @@ class ShardBarrier
 };
 
 /**
- * Sharded fault-free split replay: per-server independent runs
- * executed by shard worker threads. Byte-identical to the legacy
- * split paths (hints aside, which are allocation-only).
+ * Fault-free split replay: every server runs its balancer-filtered
+ * share of the stream independently, with the servers grouped onto
+ * shard worker threads. Chosen by runCluster when no front-end
+ * machinery is armed.
  */
 ClusterResult runClusterSplitSharded(const ShardedWorkload& workload,
                                      PolicyKind kind,
@@ -196,10 +200,9 @@ ClusterResult runClusterSplitSharded(const ShardedWorkload& workload,
                                      const PolicyConfig& policy_config);
 
 /**
- * Windowed sharded engine for runs with front-end machinery (faults,
+ * Windowed engine for runs with front-end machinery (faults,
  * admission, budgets, breakers). Byte-identical across every shard
- * count N >= 1; see ClusterConfig::shards for the relationship to the
- * legacy single-threaded interleave.
+ * count; see the file comment for the protocol.
  */
 ClusterResult runClusterShardedWindowed(const SourceFactory& make_source,
                                         PolicyKind kind,

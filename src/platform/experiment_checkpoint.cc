@@ -354,9 +354,9 @@ platformSweepFingerprint(const std::vector<PlatformCell>& cells)
     const std::vector<std::string> keys = platformCellKeys(cells);
     std::unordered_map<const Trace*, std::uint64_t> trace_hashes;
     std::ostringstream out;
-    // v5: lockstep bump with the cluster grid (sharded execution), so a
-    // mixed-grid journal from either era is rejected as a whole.
-    out << "faascache-platform-grid-v5;" << cells.size() << ';';
+    // v6: lockstep bump with the cluster grid (one cluster engine), so
+    // a mixed-grid journal from either era is rejected as a whole.
+    out << "faascache-platform-grid-v6;" << cells.size() << ';';
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const PlatformCell& cell = cells[i];
         out << keys[i] << ';';
@@ -373,10 +373,11 @@ clusterSweepFingerprint(const std::vector<ClusterCell>& cells)
     const std::vector<std::string> keys = clusterCellKeys(cells);
     std::unordered_map<const Trace*, std::uint64_t> trace_hashes;
     std::ostringstream out;
-    // v5: cells gained the shards knob (sharded windowed execution is a
-    // distinct deterministic semantic from the legacy interleave when
-    // front-end machinery is armed, so it must key resumes).
-    out << "faascache-cluster-grid-v5;" << cells.size() << ';';
+    // v6: one cluster engine, so fault runs have one semantic and
+    // journals of an older version are rejected. Results do not depend
+    // on the shard count, so it is not hashed: a journal resumes under
+    // any shards value. The platform grid is bumped in lockstep.
+    out << "faascache-cluster-grid-v6;" << cells.size() << ';';
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const ClusterCell& cell = cells[i];
         const ClusterConfig& config = cell.config;
@@ -384,7 +385,7 @@ clusterSweepFingerprint(const std::vector<ClusterCell>& cells)
         hashTrace(out, trace_hashes, cell.trace);
         out << policyKindName(cell.kind) << ';' << config.num_servers
             << ';' << static_cast<int>(config.balancing) << ';'
-            << config.seed << ';' << config.shards << ';';
+            << config.seed << ';';
         hashServerConfig(out, config.server);
         out << config.failover.max_retries << ';'
             << config.failover.base_backoff_us << ';'

@@ -1063,16 +1063,6 @@ Server::run(InvocationSource& source)
 }
 
 void
-Server::begin(const Trace& trace)
-{
-    beginRun(trace);
-    incremental_ = true;
-    horizon_us_ = std::numeric_limits<TimeUs>::max();
-    events_.reserve(trace.invocations().size());
-    events_.schedule(0, EventKind::Maintenance);
-}
-
-void
 Server::begin(const std::vector<FunctionSpec>& functions,
               std::size_t invocation_hint)
 {
@@ -1080,20 +1070,11 @@ Server::begin(const std::vector<FunctionSpec>& functions,
     beginRunCommon(functions, invocation_hint);
     incremental_ = true;
     horizon_us_ = std::numeric_limits<TimeUs>::max();
-    // Unlike the trace begin(), the heap only ever holds runtime
-    // traffic here (the dispatcher streams arrivals through offer()),
-    // so a modest reservation keeps peak memory stream-length-free.
+    // The heap only ever holds runtime traffic (the dispatcher streams
+    // arrivals through offer()), so a modest reservation keeps peak
+    // memory stream-length-free.
     events_.reserve(256);
     events_.schedule(0, EventKind::Maintenance);
-}
-
-bool
-Server::offer(std::size_t invocation_index, TimeUs now, bool redispatched)
-{
-    assert(trace_ != nullptr);
-    return acceptArrival(invocation_index,
-                         trace_->invocations()[invocation_index], now,
-                         redispatched);
 }
 
 bool

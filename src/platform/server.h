@@ -309,20 +309,16 @@ class Server
 
     /**
      * @name Incremental driving (cluster front end)
-     * begin() starts a run over `trace` without scheduling any
-     * arrivals; the dispatcher then calls advanceTo(t) to settle
-     * internal events strictly before t, offer()s arrivals, and
-     * finally finish()es the run.
+     * begin() starts a run without scheduling any arrivals; the
+     * dispatcher then calls advanceTo(t) to settle internal events
+     * strictly before t, offer()s arrivals, and finally finish()es the
+     * run.
      * @{
      */
 
-    /** Start an externally driven run. */
-    void begin(const Trace& trace);
-
     /**
-     * Start an externally driven run over an arbitrary arrival stream:
-     * the dispatcher streams (index, invocation) pairs through the
-     * Invocation-carrying offer() itself, so no trace is ever bound.
+     * Start an externally driven run: the dispatcher streams
+     * (index, invocation) pairs through offer(), so no trace is bound.
      * @param functions Function catalog (non-owning; must outlive the
      *        run). Dense ids, like a Trace catalog.
      * @param invocation_hint Expected stream length (allocation sizing
@@ -334,6 +330,8 @@ class Server
     /**
      * Hand one invocation to this server at time `now` (its internal
      * events must already be advanced to `now`).
+     * @param invocation_index The dispatcher's stream index, reported
+     *        back in crash fallout.
      * @param redispatched The invocation was failed over after a crash
      *        elsewhere; user-visible latency is anchored at its
      *        original trace arrival and a cold start for it counts as
@@ -341,11 +339,6 @@ class Server
      * @return False when the request was dropped on arrival (queue
      *         full, oversize, or server down).
      */
-    bool offer(std::size_t invocation_index, TimeUs now,
-               bool redispatched = false);
-
-    /** Streaming variant: the invocation rides along instead of being
-     *  looked up in a bound trace (required after the catalog begin()). */
     bool offer(std::size_t invocation_index, const Invocation& inv,
                TimeUs now, bool redispatched = false);
 
@@ -585,8 +578,8 @@ class Server
     std::uint32_t request_free_ = kNilRequest;
     std::size_t queue_size_ = 0;
 
-    /** Bound trace for index-only offer() and the Reference replay's
-     *  prescheduled arrivals; null under streaming driving. */
+    /** Bound trace for the Reference replay's prescheduled arrivals;
+     *  null under streaming driving. */
     const Trace* trace_ = nullptr;
 
     /** Function catalog of the current run (trace's or the source's);

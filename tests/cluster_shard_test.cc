@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/policy_factory.h"
@@ -26,6 +27,8 @@
 #include "trace/invocation_source.h"
 #include "trace/trace.h"
 #include "util/audit.h"
+
+#include "cluster_split_oracle.h"
 
 namespace faascache {
 namespace {
@@ -279,17 +282,22 @@ TEST(ClusterShard, BreakerPeekAllowNeverClaimsProbe)
 
 TEST(ClusterShard, CleanShardedMatchesLegacyForAllBalancers)
 {
+    // The oracle is the classic independent-server replay: split the
+    // trace by balancer, run every share on its own Server.
     for (const LoadBalancing balancing :
          {LoadBalancing::Random, LoadBalancing::RoundRobin,
           LoadBalancing::FunctionHash}) {
-        ClusterConfig legacy = baseConfig(4);
-        legacy.balancing = balancing;
-        const std::string oracle = payloadFor(legacy);
+        ClusterConfig config = baseConfig(4);
+        config.balancing = balancing;
+        const std::string oracle = encodeClusterCheckpointPayload(
+            "cell", runClusterSplitOracle(azureWorkload(),
+                                          PolicyKind::GreedyDual, config));
         for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-            ClusterConfig sharded = legacy;
+            ClusterConfig sharded = config;
             sharded.shards = shards;
             EXPECT_EQ(payloadFor(sharded), oracle)
-                << "clean sharded run diverged from legacy: balancing "
+                << "clean sharded run diverged from the split oracle: "
+                   "balancing "
                 << static_cast<int>(balancing) << ", shards " << shards;
         }
     }
@@ -532,6 +540,69 @@ TEST(ClusterShard, FailedOwnerReleasesSnapshotWaiters)
     for (std::size_t s = 0; s < 4; ++s)
         config.faults.crashes.push_back(CrashEvent{s, 0, kSecond});
     expectCursorFailureRethrown(trace, config, /*fail_after=*/-1);
+}
+
+// --- Malformed streams fail on every path, for every balancer. -----
+
+TEST(ClusterShard, MalformedStreamThrowsOnEveryPath)
+{
+    // Round-robin over 2 servers splits arrivals 10, 20, 15, 25 s into
+    // the sorted shares {10, 15} and {20, 25}: only a check on the
+    // whole stream sees the disorder. Every balancer, shard count and
+    // engine path (clean split, armed windows) must reject it, and an
+    // out-of-range function id, with the same error and without
+    // hanging a shard.
+    Trace unsorted("unsorted");
+    unsorted.addFunction(makeFunction(0, "f0", 300.0, 500 * kMillisecond,
+                                      2 * kSecond));
+    for (const int sec : {10, 20, 15, 25})
+        unsorted.addInvocation(0, sec * kSecond);
+    Trace bad_id("bad-id");
+    bad_id.addFunction(makeFunction(0, "f0", 300.0, 500 * kMillisecond,
+                                    2 * kSecond));
+    bad_id.addInvocation(0, 10 * kSecond);
+    bad_id.addInvocation(7, 20 * kSecond);
+
+    const std::pair<const Trace*, std::string> cases[] = {
+        {&unsorted,
+         "runCluster: source arrivals out of order (15000000 after "
+         "20000000)"},
+        {&bad_id, "runCluster: source function id 7 out of range "
+                  "(catalog 1)"},
+    };
+    for (const auto& [trace, expected] : cases) {
+        ShardedWorkload workload;
+        workload.make_full = [trace] {
+            return std::make_unique<TraceSource>(*trace);
+        };
+        for (const LoadBalancing balancing :
+             {LoadBalancing::Random, LoadBalancing::RoundRobin,
+              LoadBalancing::FunctionHash}) {
+            for (const std::size_t shards : {1u, 4u}) {
+                for (const bool armed : {false, true}) {
+                    ClusterConfig config = baseConfig(2);
+                    config.balancing = balancing;
+                    config.shards = shards;
+                    if (armed) {
+                        config.failover.shed_queue_depth =
+                            config.server.queue_capacity;
+                    }
+                    const std::string label = trace->name() +
+                        " balancing " +
+                        std::to_string(static_cast<int>(balancing)) +
+                        " shards " + std::to_string(shards) +
+                        (armed ? " armed" : " clean");
+                    try {
+                        runCluster(workload, PolicyKind::GreedyDual,
+                                   config);
+                        ADD_FAILURE() << "no error: " << label;
+                    } catch (const std::runtime_error& error) {
+                        EXPECT_EQ(error.what(), expected) << label;
+                    }
+                }
+            }
+        }
+    }
 }
 
 }  // namespace

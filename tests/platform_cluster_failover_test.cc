@@ -38,7 +38,7 @@ expectConservation(const ClusterResult& r, const Trace& t)
 TEST(ClusterFailover, FaultAwarePathMatchesLegacyWithoutFaults)
 {
     // Force the interleaved path with admission control that never
-    // triggers; the result must match the legacy split replay.
+    // triggers; the result must match the independent-server split.
     const Trace t = skewedFrequencyWorkload(10 * kMinute);
     for (LoadBalancing lb : {LoadBalancing::Random,
                              LoadBalancing::RoundRobin,
@@ -282,6 +282,12 @@ TEST(ClusterFailover, ConfigValidationRejectsBadValues)
     {
         ClusterConfig c = config();
         c.num_servers = 0;
+        EXPECT_THROW(runCluster(t, PolicyKind::Ttl, c),
+                     std::invalid_argument);
+    }
+    {
+        ClusterConfig c = config();
+        c.shards = 0;
         EXPECT_THROW(runCluster(t, PolicyKind::Ttl, c),
                      std::invalid_argument);
     }

@@ -314,9 +314,9 @@ TEST(PlatformDifferential, RandomizedConfigFuzz)
 }
 
 // --------------------------------------------------------------------
-// Cluster flavour: the fault-aware front end drives servers through
+// Cluster flavour: the windowed engine drives servers through
 // begin/offer/advanceTo/finish, so this also differentially tests the
-// incremental API plus the front end's own dense dispatch cursor.
+// incremental API plus the engine's own dispatch cursor.
 
 ClusterConfig
 baseClusterConfig()
@@ -353,7 +353,7 @@ TEST(ClusterDifferential, SplitAndFaultAwarePathsAgree)
     for (LoadBalancing balancing :
          {LoadBalancing::Random, LoadBalancing::RoundRobin,
           LoadBalancing::FunctionHash}) {
-        // Fault-free: exercises runClusterSplit (per-shard run()).
+        // Fault-free: exercises the split path (per-server run()).
         ClusterConfig split = baseClusterConfig();
         split.balancing = balancing;
         expectClusterBackendsAgree(
@@ -362,7 +362,7 @@ TEST(ClusterDifferential, SplitAndFaultAwarePathsAgree)
                                      balancing)));
 
         // Crashing fleet with full failover machinery: exercises the
-        // fault-aware front end and its dispatch cursor.
+        // windowed front end and its dispatch cursor.
         ClusterConfig faulty = split;
         faulty.faults.spawn_failure_prob = 0.1;
         faulty.faults.crashes.push_back(

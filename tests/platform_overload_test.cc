@@ -8,12 +8,15 @@
 
 #include "core/policy_factory.h"
 #include "platform/cluster.h"
+#include "platform/experiment_checkpoint.h"
 #include "platform/overload/admission_controller.h"
 #include "platform/overload/brownout.h"
 #include "platform/overload/circuit_breaker.h"
 #include "platform/overload/retry_budget.h"
 #include "platform/load_generator.h"
 #include "platform/server.h"
+
+#include "cluster_split_oracle.h"
 
 namespace faascache {
 namespace {
@@ -523,8 +526,9 @@ TEST(ClusterOverload, ServerOverloadKnobsWorkOnBothPaths)
 {
     // Server-local admission control must behave identically whether
     // the cluster takes the split fast path (no front-end features) or
-    // the fault-aware path (forced by an inert shed mark): the
-    // controllers live inside Server.
+    // the windowed path (forced by an inert shed mark): the controllers
+    // live inside Server. The split path must also match the
+    // independent-server split oracle exactly.
     Trace t("cluster-saturate");
     t.addFunction(fn(0, 100, 10.0, 0.0));
     for (int i = 0; i < 240; ++i)
@@ -539,6 +543,10 @@ TEST(ClusterOverload, ServerOverloadKnobsWorkOnBothPaths)
     c.server.overload.admission.interval_us = 10 * kSecond;
 
     const ClusterResult split = runCluster(t, PolicyKind::GreedyDual, c);
+    EXPECT_EQ(encodeClusterCheckpointPayload("cell", split),
+              encodeClusterCheckpointPayload(
+                  "cell",
+                  runClusterSplitOracle(t, PolicyKind::GreedyDual, c)));
     ClusterConfig forced = c;
     forced.failover.shed_queue_depth = forced.server.queue_capacity;
     const ClusterResult aware = runCluster(t, PolicyKind::GreedyDual, forced);

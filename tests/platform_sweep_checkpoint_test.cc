@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -419,6 +420,81 @@ TEST(ClusterSweepResume, PartialJournalRerunsOnlyMissingCells)
     for (std::size_t i = 0; i < grid.size(); ++i)
         expectSameClusterResult(first.cells[i].result,
                                 resumed.cells[i].result);
+}
+
+TEST(ClusterSweepResume, JournalResumesAcrossShardCounts)
+{
+    // Results do not depend on the shard count, so it is not part of
+    // the grid identity: a journal written at 2 shards restores every
+    // cell at 4, byte for byte — also with the windowed engine armed.
+    TempFile ckpt("cluster_shards");
+    std::vector<ClusterCell> grid = clusterGrid();
+    for (ClusterCell& cell : grid) {
+        cell.config.faults.crashes.push_back(
+            {0, 2 * kMinute, kMinute});
+        cell.config.failover.shed_queue_depth = 8;
+        cell.config.shards = 2;
+    }
+    const std::vector<std::string> keys = clusterCellKeys(grid);
+
+    PlatformSweepOptions options;
+    options.checkpoint_path = ckpt.path();
+    const ClusterSweepReport first =
+        runClusterSweepReport(grid, 2, options);
+    ASSERT_TRUE(first.allOk());
+
+    std::vector<ClusterCell> wider = grid;
+    for (ClusterCell& cell : wider)
+        cell.config.shards = 4;
+    EXPECT_EQ(clusterSweepFingerprint(grid),
+              clusterSweepFingerprint(wider));
+    options.resume = true;
+    const ClusterSweepReport resumed =
+        runClusterSweepReport(wider, 2, options);
+    ASSERT_TRUE(resumed.allOk());
+    EXPECT_EQ(resumed.restored, grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        EXPECT_TRUE(resumed.cells[i].restored);
+        const ClusterResult fresh =
+            runCluster(*wider[i].trace, wider[i].kind, wider[i].config,
+                       wider[i].policy);
+        EXPECT_EQ(encodeClusterCheckpointPayload(keys[i],
+                                                 resumed.cells[i].result),
+                  encodeClusterCheckpointPayload(keys[i], fresh));
+        EXPECT_EQ(encodeClusterCheckpointPayload(keys[i],
+                                                 first.cells[i].result),
+                  encodeClusterCheckpointPayload(keys[i], fresh));
+    }
+}
+
+TEST(ClusterSweepResume, RejectsAJournalStampedV5)
+{
+    // clusterSweepFingerprint(clusterGrid()) under the v5 scheme, at
+    // shards 0 (the old interleave) and at shards 1. v5 journals hold
+    // results of the old fault-run semantic; resuming from one must
+    // fail instead of mixing semantics.
+    const std::uint64_t v5_fingerprints[] = {0x150d50d6f40805ceULL,
+                                             0x7465418da1537062ULL};
+    const std::vector<ClusterCell> grid = clusterGrid();
+    const std::vector<std::string> keys = clusterCellKeys(grid);
+    for (const std::uint64_t v5 : v5_fingerprints) {
+        ASSERT_NE(v5, clusterSweepFingerprint(grid));
+        TempFile ckpt("cluster_v5");
+        {
+            CheckpointJournalWriter writer =
+                CheckpointJournalWriter::beginFresh(ckpt.path(), v5);
+            for (std::size_t i = 0; i < grid.size(); ++i) {
+                writer.append(encodeClusterCheckpointPayload(
+                    keys[i], runCluster(*grid[i].trace, grid[i].kind,
+                                        grid[i].config, grid[i].policy)));
+            }
+        }
+        PlatformSweepOptions options;
+        options.checkpoint_path = ckpt.path();
+        options.resume = true;
+        EXPECT_THROW(runClusterSweepReport(grid, 2, options),
+                     std::runtime_error);
+    }
 }
 
 }  // namespace

@@ -34,6 +34,8 @@
 #include "trace/trace.h"
 #include "util/audit.h"
 
+#include "cluster_split_oracle.h"
+
 namespace faascache {
 namespace {
 
@@ -196,7 +198,7 @@ TEST(StreamingDifferential, ServerStreamedRunAgreesUnderFaults)
     }
 }
 
-// --- Cluster: split + fault-aware streamed paths, all balancers. ----
+// --- Cluster: clean split + armed windows, all balancers. ----------
 
 TEST(StreamingDifferential, ClusterAgreesAcrossSourcesAndBalancers)
 {
@@ -239,7 +241,11 @@ TEST(StreamingDifferential, ClusterAgreesAcrossSourcesAndBalancers)
                 oracle)
                 << "Dense(Trace) cluster diverged: " << label;
 
-            FtraceSource mapped = compiled.open();
+            // Each shard streams its own FtraceSource over the file.
+            ShardedWorkload mapped;
+            mapped.make_full = [&compiled] {
+                return std::make_unique<FtraceSource>(compiled.path());
+            };
             EXPECT_EQ(
                 encodeClusterCheckpointPayload(
                     "cell",
@@ -247,11 +253,9 @@ TEST(StreamingDifferential, ClusterAgreesAcrossSourcesAndBalancers)
                 oracle)
                 << "Dense(FtraceSource) cluster diverged: " << label;
 
-            FtraceSource mapped_ref = compiled.open();
             EXPECT_EQ(
                 encodeClusterCheckpointPayload(
-                    "cell", runCluster(mapped_ref,
-                                       PolicyKind::GreedyDual,
+                    "cell", runCluster(mapped, PolicyKind::GreedyDual,
                                        reference)),
                 oracle)
                 << "Reference(FtraceSource) cluster diverged: "
@@ -304,14 +308,15 @@ TEST(StreamingDifferential, ClusterShardCountInvariance)
 
             if (!faulty) {
                 // The fault-free sharded split must also match the
-                // legacy single-threaded engine byte-for-byte.
+                // independent-server split oracle byte-for-byte.
                 EXPECT_EQ(
                     encodeClusterCheckpointPayload(
                         "cell",
-                        runCluster(trace, PolicyKind::GreedyDual,
-                                   config)),
+                        runClusterSplitOracle(
+                            trace, PolicyKind::GreedyDual, config)),
                     oracle)
-                    << "sharded split diverged from legacy: " << label;
+                    << "sharded split diverged from the split oracle: "
+                    << label;
             }
 
             // 8 shards on a 3-server fleet also covers the clamp to
