@@ -123,6 +123,7 @@ class GreedyDualPolicy : public KeepAlivePolicy
     explicit GreedyDualPolicy(GreedyDualConfig config = {});
 
     std::string name() const override { return "GD"; }
+    bool resourceConserving() const override { return true; }
 
     void reserveFunctions(std::size_t n) override;
 

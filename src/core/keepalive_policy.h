@@ -111,6 +111,17 @@ class KeepAlivePolicy
      */
     virtual std::vector<FunctionId> duePrewarms(TimeUs now);
 
+    /**
+     * Is this policy resource-conserving (paper §4.1)? A true answer is
+     * a promise that expiredContainers() and duePrewarms() always return
+     * {} and change no state, so a periodic housekeeping pass over an
+     * idle pool does nothing. Drivers may then skip such passes
+     * (Server parks the maintenance tick of a quiescent invoker).
+     * The base answers false: a wrapper that does not forward this
+     * method only loses the shortcut, never exactness.
+     */
+    virtual bool resourceConserving() const { return false; }
+
     /** Shared per-function statistics. */
     const FunctionStatsTable& stats() const { return stats_; }
 

@@ -27,6 +27,7 @@ class LandlordPolicy : public KeepAlivePolicy
 {
   public:
     std::string name() const override { return "LND"; }
+    bool resourceConserving() const override { return true; }
 
     void onWarmStart(Container& container, const FunctionSpec& function,
                      TimeUs now) override;

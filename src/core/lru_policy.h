@@ -20,6 +20,7 @@ class LruPolicy : public KeepAlivePolicy
 {
   public:
     std::string name() const override { return "LRU"; }
+    bool resourceConserving() const override { return true; }
 
     std::vector<ContainerId> selectVictims(ContainerPool& pool,
                                            MemMb needed_mb,

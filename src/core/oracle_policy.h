@@ -33,6 +33,7 @@ class OraclePolicy : public KeepAlivePolicy
     explicit OraclePolicy(const Trace& trace);
 
     std::string name() const override { return "ORACLE"; }
+    bool resourceConserving() const override { return true; }
 
     void onInvocationArrival(const FunctionSpec& function,
                              TimeUs now) override;

@@ -142,7 +142,7 @@ clusterCellKeys(const std::vector<ClusterCell>& cells)
         std::string key = cell.key;
         if (key.empty()) {
             char shape[48];
-            std::snprintf(shape, sizeof shape, "%dx%g",
+            std::snprintf(shape, sizeof shape, "%zux%g",
                           cell.config.num_servers,
                           cell.config.server.memory_mb);
             key = cell.trace->name() + "/" + policyKindName(cell.kind) +

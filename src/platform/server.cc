@@ -112,6 +112,9 @@ Server::Server(std::unique_ptr<KeepAlivePolicy> policy, ServerConfig config)
         : nullptr;
     events_.bindAuditor(audit_);
     pool_.setAuditor(audit_);
+    can_park_ = config_.platform_backend == PlatformBackend::Dense &&
+        audit_ == nullptr && !config_.overload.brownout.enabled &&
+        policy_->resourceConserving();
 }
 
 void
@@ -627,6 +630,13 @@ Server::handleEvent(const ServerEvent& event)
         if (!down_)
             maintenance(now);
         if (incremental_) {
+            // Park instead of rescheduling: until a mutator runs, every
+            // later tick would find the same quiescent state and do
+            // nothing. rearmParkedTick() restores the chain exactly.
+            if (quiescent()) {
+                tick_parked_ = true;
+                break;
+            }
             const TimeUs next = now + config_.maintenance_interval_us;
             if (next <= horizon_us_)
                 events_.schedule(next, EventKind::Maintenance);
@@ -674,9 +684,31 @@ Server::handleEvent(const ServerEvent& event)
     }
 }
 
+void
+Server::rearmParkedTick(TimeUs now)
+{
+    // Callers settle before they mutate: nothing pending before `now`.
+    assert(events_.empty() || events_.nextTime() >= now);
+    if (!tick_parked_)
+        return;
+    tick_parked_ = false;
+    // The heap was empty at park time and nothing has been scheduled
+    // since, so this tick takes a lower seq than every event the
+    // mutator and its successors schedule — the same (time, lane, seq)
+    // order the self-rescheduled tick had. The ticks skipped between
+    // the parked one (the last event this server processed) and `now`
+    // would all have been no-ops.
+    const TimeUs interval = config_.maintenance_interval_us;
+    const TimeUs next = (now + interval - 1) / interval * interval;
+    assert(next > clock_.now());
+    if (next <= horizon_us_)
+        events_.schedule(next, EventKind::Maintenance);
+}
+
 Server::CrashFallout
 Server::crash(TimeUs now)
 {
+    rearmParkedTick(now);
     CrashFallout fallout;
     if (down_)
         return fallout;
@@ -765,6 +797,7 @@ Server::crash(TimeUs now)
 void
 Server::restart(TimeUs now)
 {
+    rearmParkedTick(now);
     if (!down_)
         return;
     down_ = false;
@@ -775,6 +808,7 @@ Server::restart(TimeUs now)
 std::optional<Server::SpilledRequest>
 Server::oomKill(TimeUs now)
 {
+    rearmParkedTick(now);
     if (down_)
         return std::nullopt;
     // Victim: the fattest busy container, ties to the lowest id. The
@@ -856,6 +890,7 @@ Server::beginRunCommon(const std::vector<FunctionSpec>& functions,
     // instead of doubling through the run.
     result_.latencies_sec.reserve(invocation_hint);
     clearInflight();
+    tick_parked_ = false;
     admission_.reset();
     brownout_.reset();
     spawn_successes_ = 0;
@@ -989,7 +1024,10 @@ Server::run(InvocationSource& source)
     // fixed the moment the source runs dry: the trace replay schedules
     // horizon / interval + 1 ticks with horizon = last arrival + queue
     // timeout, and every tick emitted while arrivals remain is earlier
-    // than the next arrival, hence within that budget.
+    // than the next arrival, hence within that budget. A tick that
+    // leaves the server quiescent() skips the cursor ahead: every tick
+    // before the next arrival would be a no-op, and the tick at the
+    // arrival instant still fires after it (arrivals win ties).
     const TimeUs interval = config_.maintenance_interval_us;
     constexpr std::size_t kUnbounded =
         std::numeric_limits<std::size_t>::max();
@@ -1052,6 +1090,14 @@ Server::run(InvocationSource& source)
             tick.kind = EventKind::Maintenance;
             handleEvent(tick);
             ++ticks_emitted;
+            if (quiescent()) {
+                ticks_emitted = have_arrival
+                    ? std::max(ticks_emitted,
+                               static_cast<std::size_t>(
+                                   (inv.arrival_us + interval - 1) /
+                                   interval))
+                    : tick_budget;
+            }
             continue;
         }
         handleEvent(events_.pop());
@@ -1081,6 +1127,7 @@ bool
 Server::offer(std::size_t invocation_index, const Invocation& inv,
               TimeUs now, bool redispatched)
 {
+    rearmParkedTick(now);
     return acceptArrival(invocation_index, inv, now, redispatched);
 }
 

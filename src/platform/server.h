@@ -123,7 +123,15 @@ struct ServerConfig
     /** Maximum queueing delay before a buffered request is dropped. */
     TimeUs queue_timeout_us = 30 * kSecond;
 
-    /** Period of expiry/prewarm housekeeping. */
+    /**
+     * Period of expiry/prewarm housekeeping. Ticks fall on the grid
+     * k * maintenance_interval_us. The Dense backend skips the ticks of
+     * a quiescent server (empty event heap and request queue) whose
+     * policy is resourceConserving(), while no auditor is attached and
+     * brownout is off: such ticks provably do nothing, so results are
+     * byte-identical to firing them (DESIGN.md §4f). The Reference
+     * backend fires every tick.
+     */
     TimeUs maintenance_interval_us = 10 * kSecond;
 
     /** Honor policy prewarm requests (HIST). */
@@ -511,6 +519,23 @@ class Server
     /** Expire leases and perform due prewarms. */
     void maintenance(TimeUs now);
 
+    /**
+     * Would a maintenance tick at any time from now on do nothing until
+     * the next offer/crash/restart/oomKill? True when the server may
+     * park (can_park_), no event is pending and no request is queued.
+     */
+    bool quiescent() const
+    {
+        return can_park_ && events_.empty() && queue_size_ == 0;
+    }
+
+    /**
+     * Mutator prologue of incremental driving: check that the caller
+     * settled the server to `now`, and re-arm a parked maintenance tick
+     * at the next grid point >= now before anything else is scheduled.
+     */
+    void rearmParkedTick(TimeUs now);
+
     void evict(ContainerId id, TimeUs now, bool expired);
 
     /** Shared arrival path of run()'s Arrival events and offer(). */
@@ -605,6 +630,18 @@ class Server
 
     /** Maintenance re-arm bound for incremental runs. */
     TimeUs horizon_us_ = 0;
+
+    /**
+     * Idle maintenance ticks may be skipped: Dense backend, policy
+     * resourceConserving(), no auditor, brownout off (the drain updates
+     * the brownout governor even on an empty queue). Fixed at
+     * construction.
+     */
+    bool can_park_ = false;
+
+    /** Incremental run: the maintenance tick found the server quiescent
+     *  and did not reschedule itself; the next mutator re-arms it. */
+    bool tick_parked_ = false;
 
     bool down_ = false;
     TimeUs down_since_ = 0;

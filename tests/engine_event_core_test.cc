@@ -404,7 +404,8 @@ TEST(EventCoreBatch, PropertyBatchPopOrderMatchesIndividualSchedules)
             const std::size_t batch = rng.uniformInt(60);
             for (std::size_t i = 0; i < batch; ++i) {
                 items.push_back(EventBatchItem<TestKind>{
-                    rng.uniformInt(50), TestKind::B, payload, 0});
+                    static_cast<TimeUs>(rng.uniformInt(50)), TestKind::B,
+                    payload, 0});
                 ++payload;
             }
             batched.scheduleBatch(items);

@@ -13,12 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/oracle_policy.h"
 #include "core/policy_factory.h"
 #include "platform/cluster.h"
 #include "platform/experiment.h"
@@ -291,8 +293,9 @@ TEST(PlatformDifferential, RandomizedConfigFuzz)
             plan.seed = 0x5EEDFA11ULL + static_cast<std::uint64_t>(round);
             if (rng.uniformInt(2) == 0) {
                 plan.crashes.push_back(CrashEvent{
-                    0, (30 + rng.uniformInt(120)) * kSecond,
-                    rng.uniformInt(30) * kSecond});
+                    0,
+                    static_cast<TimeUs>(30 + rng.uniformInt(120)) * kSecond,
+                    static_cast<TimeUs>(rng.uniformInt(30)) * kSecond});
             }
         }
 
@@ -540,6 +543,273 @@ TEST(PlatformDifferential, FingerprintSeesBackendFlip)
     cells[0].server.platform_backend = PlatformBackend::Reference;
     EXPECT_NE(before, platformSweepFingerprint(cells))
         << "a journal from one backend must not resume into the other";
+}
+
+// --------------------------------------------------------------------
+// Parked maintenance ticks. A Dense server whose policy is
+// resource-conserving skips the ticks of a quiescent stretch — run()
+// jumps its tick cursor, incremental driving parks the tick until the
+// next offer/crash/restart/oomKill — while the Reference backend fires
+// every one. Parking is off under an auditor, so the Dense side of
+// these cases runs unaudited; the Reference side keeps the auditor.
+
+constexpr TimeUs kTick = 10 * kSecond;
+
+/** Catalog shared by the parking traces: tight enough to evict. */
+void
+addParkingCatalog(Trace& t, FunctionId n)
+{
+    for (FunctionId id = 0; id < n; ++id) {
+        t.addFunction(makeFunction(
+            id, "pk" + std::to_string(id),
+            96.0 + static_cast<double>(id % 4) * 80.0,
+            fromMillis(150 + 100 * (id % 3)), fromMillis(700)));
+    }
+}
+
+/** Short bursts separated by multi-hour idle gaps. */
+Trace
+idleGapTrace()
+{
+    Trace t("park-idle-gaps");
+    addParkingCatalog(t, 10);
+    TimeUs at = 3 * kSecond;
+    for (TimeUs gap : {2 * kHour, 5 * kHour, 3 * kHour + 7 * kSecond,
+                       9 * kHour}) {
+        for (FunctionId id = 0; id < 10; ++id)
+            t.addInvocation(id, at + static_cast<TimeUs>(id) * 400'000);
+        at += gap;
+    }
+    t.addInvocation(3, at);
+    return t;
+}
+
+/** Arrivals on a tick grid point and 1 us either side of one, each
+ *  after the server went quiescent. */
+Trace
+gridEdgeTrace()
+{
+    Trace t("park-grid-edges");
+    addParkingCatalog(t, 6);
+    TimeUs grid = 0;
+    for (int round = 0; round < 6; ++round) {
+        grid += (37 + 11 * round) * kTick;
+        const FunctionId fn = static_cast<FunctionId>(round % 6);
+        t.addInvocation(fn, grid - 1);
+        grid += 17 * kTick;
+        t.addInvocation(static_cast<FunctionId>((fn + 1) % 6), grid);
+        grid += 23 * kTick;
+        t.addInvocation(static_cast<FunctionId>((fn + 2) % 6), grid + 1);
+        t.addInvocation(static_cast<FunctionId>((fn + 3) % 6), grid + 1);
+    }
+    return t;
+}
+
+/** A minute-bucket burst (every function at one instant) after a long
+ *  gap: evictions, a backed-up queue and timeouts out of quiescence. */
+Trace
+burstAfterGapTrace()
+{
+    Trace t("park-burst-after-gap");
+    addParkingCatalog(t, 30);
+    t.addInvocation(0, 0);
+    t.addInvocation(1, 2 * kSecond);
+    for (TimeUs minute : {4 * kHour, 4 * kHour + kMinute,
+                          11 * kHour + 30 * kSecond}) {
+        for (FunctionId id = 0; id < 30; ++id)
+            t.addInvocation(id, minute);
+    }
+    return t;
+}
+
+using PolicyMaker =
+    std::function<std::unique_ptr<KeepAlivePolicy>(const Trace&)>;
+
+/** Every resource-conserving policy, by name. */
+std::vector<std::pair<std::string, PolicyMaker>>
+conservingPolicies()
+{
+    std::vector<std::pair<std::string, PolicyMaker>> makers;
+    for (PolicyKind kind : allPolicyKinds()) {
+        if (!makePolicy(kind)->resourceConserving())
+            continue;
+        makers.emplace_back(policyKindName(kind), [kind](const Trace&) {
+            return makePolicy(kind);
+        });
+    }
+    makers.emplace_back("ORACLE", [](const Trace& trace) {
+        return std::make_unique<OraclePolicy>(trace);
+    });
+    return makers;
+}
+
+ServerConfig
+parkingServer()
+{
+    ServerConfig server;
+    server.cores = 3;
+    server.memory_mb = 600.0;
+    server.cold_start_cpu_slots = 2;
+    server.queue_capacity = 24;
+    server.maintenance_interval_us = kTick;
+    return server;
+}
+
+/** Replay `trace` through begin/offer/advanceTo/finish, settling the
+ *  server to each arrival first exactly like the cluster does. */
+PlatformResult
+runIncremental(Server& server, const Trace& trace)
+{
+    server.begin(trace.functions(), trace.invocations().size());
+    const auto& invs = trace.invocations();
+    for (std::size_t i = 0; i < invs.size(); ++i) {
+        server.advanceTo(invs[i].arrival_us);
+        server.offer(i, invs[i], invs[i].arrival_us);
+    }
+    return server.finish(invs.empty() ? 0
+                                      : invs.back().arrival_us + kMinute);
+}
+
+void
+expectParkingAgrees(const Trace& trace,
+                    ServerConfig server = parkingServer())
+{
+    for (const auto& [name, make] : conservingPolicies()) {
+        for (bool incremental : {false, true}) {
+            const std::string label = trace.name() + "/" + name +
+                (incremental ? "/incremental" : "/run");
+            server.platform_backend = PlatformBackend::Dense;
+            Server dense(make(trace), server);
+            Auditor audit;
+            ServerConfig reference_config = server;
+            reference_config.platform_backend = PlatformBackend::Reference;
+            reference_config.audit = &audit;
+            Server reference(make(trace), reference_config);
+            const PlatformResult d = incremental
+                ? runIncremental(dense, trace)
+                : dense.run(trace);
+            const PlatformResult r = incremental
+                ? runIncremental(reference, trace)
+                : reference.run(trace);
+            EXPECT_EQ(encodePlatformCheckpointPayload("cell", d),
+                      encodePlatformCheckpointPayload("cell", r))
+                << "parked ticks diverged: " << label;
+            EXPECT_EQ(audit.violationCount(), 0)
+                << label << ": " << audit.report();
+            EXPECT_GT(d.served(), 0) << label;
+        }
+    }
+}
+
+TEST(ParkedTicks, MultiHourIdleGapsAgree)
+{
+    expectParkingAgrees(idleGapTrace());
+}
+
+TEST(ParkedTicks, ArrivalsOnAndBesideTheTickGridAgree)
+{
+    expectParkingAgrees(gridEdgeTrace());
+}
+
+TEST(ParkedTicks, MinuteBurstAfterLongGapAgrees)
+{
+    const Trace trace = burstAfterGapTrace();
+    expectParkingAgrees(trace);
+    // The burst must really stress the drain, or the case proves little.
+    Server probe(makePolicy(PolicyKind::GreedyDual), parkingServer());
+    const PlatformResult r = probe.run(trace);
+    EXPECT_GT(r.evictions, 0);
+    EXPECT_GT(r.dropped(), 0);
+}
+
+// The first tick after a wake-up is the only thing that drops the
+// timed-out requests stuck behind a long invocation, and freeing their
+// queue slots decides whether a later arrival is buffered or dropped.
+// A tick re-armed off the grid, or not at all, moves that drop.
+TEST(ParkedTicks, TimeoutDropsAfterWakeUpAgree)
+{
+    Trace trace("park-timeout-after-wake");
+    trace.addFunction(makeFunction(0, "short", 100.0, fromMillis(200),
+                                   fromMillis(300)));
+    trace.addFunction(makeFunction(1, "long", 100.0, fromSeconds(100),
+                                   fromMillis(300)));
+    const TimeUs wake = 2 * kHour + 3 * kSecond;
+    trace.addInvocation(0, 0);
+    trace.addInvocation(1, wake);
+    trace.addInvocation(0, wake + kSecond);
+    trace.addInvocation(0, wake + kSecond);
+    // The stuck pair times out after wake + 31 s; the first grid tick
+    // past that is wake + 37 s.
+    trace.addInvocation(0, wake + 38 * kSecond);
+
+    ServerConfig server = parkingServer();
+    server.cores = 1;
+    server.cold_start_cpu_slots = 1;
+    server.queue_capacity = 2;
+    expectParkingAgrees(trace, server);
+
+    Server probe(makePolicy(PolicyKind::GreedyDual), server);
+    const PlatformResult r = probe.run(trace);
+    // The late arrival is buffered (and times out in turn behind the
+    // long run); without that tick it would be dropped as queue-full.
+    EXPECT_EQ(r.dropped_timeout, 3);
+    EXPECT_EQ(r.dropped_queue_full, 0);
+    EXPECT_EQ(r.served(), 2);
+}
+
+// The windowed cluster drives its servers incrementally; crashes,
+// restarts and OOM kills scheduled inside the idle gaps land on parked
+// servers and must re-arm their ticks exactly.
+TEST(ParkedTicks, FaultsOnParkedClusterServersAgree)
+{
+    const Trace trace = idleGapTrace();
+    ClusterConfig config;
+    config.num_servers = 3;
+    config.server = parkingServer();
+    config.balancing = LoadBalancing::RoundRobin;
+    config.faults.crashes.push_back(CrashEvent{0, kHour, 30 * kMinute});
+    config.faults.crashes.push_back(
+        CrashEvent{1, 3 * kHour + 5 * kSecond, 2 * kHour + 1});
+    config.faults.crashes.push_back(CrashEvent{2, 7 * kHour + kTick, 0});
+    config.faults.oom_kills.push_back(OomKillEvent{0, 2 * kHour + 1});
+    config.faults.oom_kills.push_back(OomKillEvent{1, 8 * kHour});
+    // A kill while the burst is still running, for contrast.
+    config.faults.oom_kills.push_back(OomKillEvent{0, 3 * kSecond + 500});
+    config.failover.max_retries = 3;
+    config.failover.base_backoff_us = 100 * kMillisecond;
+    for (std::size_t shards : {1u, 2u}) {
+        for (PolicyKind kind : allPolicyKinds()) {
+            if (!makePolicy(kind)->resourceConserving())
+                continue;
+            config.shards = shards;
+            config.server.platform_backend = PlatformBackend::Dense;
+            config.server.audit = nullptr;
+            const ClusterResult dense = runCluster(trace, kind, config);
+            Auditor audit;
+            config.server.platform_backend = PlatformBackend::Reference;
+            config.server.audit = &audit;
+            const ClusterResult reference =
+                runCluster(trace, kind, config);
+            const std::string label = policyKindName(kind) +
+                "/shards=" + std::to_string(shards);
+            EXPECT_EQ(encodeClusterCheckpointPayload("cell", dense),
+                      encodeClusterCheckpointPayload("cell", reference))
+                << "parked cluster servers diverged: " << label;
+            EXPECT_EQ(audit.violationCount(), 0)
+                << label << ": " << audit.report();
+            std::int64_t crashes = 0;
+            std::int64_t restarts = 0;
+            std::int64_t oom_kills = 0;
+            for (const PlatformResult& s : dense.servers) {
+                crashes += s.robustness.crashes;
+                restarts += s.robustness.restarts;
+                oom_kills += s.robustness.oom_kills;
+            }
+            EXPECT_EQ(crashes, 3) << label;
+            EXPECT_EQ(restarts, 2) << label;
+            EXPECT_GE(oom_kills, 1) << label;
+        }
+    }
 }
 
 }  // namespace

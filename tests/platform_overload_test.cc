@@ -494,8 +494,9 @@ TEST(ClusterOverload, BreakerClosesAfterTransientStorm)
     c.failover.breaker.open_duration_us = 10 * kSecond;
 
     const ClusterResult r = runCluster(t, PolicyKind::GreedyDual, c);
-    if (r.breaker_opens > 0)
+    if (r.breaker_opens > 0) {
         EXPECT_GT(r.breaker_closes, 0);
+    }
     expectConservation(r, t);
 }
 

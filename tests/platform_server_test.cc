@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/policy_factory.h"
+#include "util/audit.h"
 
 namespace faascache {
 namespace {
@@ -254,6 +255,159 @@ TEST(Server, RejectsUnsortedTrace)
     t.addInvocation(0, 0);
     Server server(makePolicy(PolicyKind::Lru), config(2, 1'000));
     EXPECT_THROW(server.run(t), std::invalid_argument);
+}
+
+/**
+ * Counts maintenance passes: Server::maintenance() asks the policy for
+ * expirations exactly once per tick it runs on a live server. Forwards
+ * everything, resourceConserving() included, to Greedy-Dual.
+ */
+class TickCountingPolicy final : public KeepAlivePolicy
+{
+  public:
+    explicit TickCountingPolicy(int* ticks)
+        : inner_(makePolicy(PolicyKind::GreedyDual)), ticks_(ticks)
+    {
+    }
+
+    std::string name() const override { return inner_->name(); }
+    bool resourceConserving() const override
+    {
+        return inner_->resourceConserving();
+    }
+    void reserveFunctions(std::size_t n) override
+    {
+        inner_->reserveFunctions(n);
+    }
+    void onInvocationArrival(const FunctionSpec& function,
+                             TimeUs now) override
+    {
+        inner_->onInvocationArrival(function, now);
+    }
+    void onWarmStart(Container& container, const FunctionSpec& function,
+                     TimeUs now) override
+    {
+        inner_->onWarmStart(container, function, now);
+    }
+    void onColdStart(Container& container, const FunctionSpec& function,
+                     TimeUs now) override
+    {
+        inner_->onColdStart(container, function, now);
+    }
+    void onEviction(const Container& container, bool last_of_function,
+                    TimeUs now) override
+    {
+        inner_->onEviction(container, last_of_function, now);
+    }
+    std::vector<ContainerId> selectVictims(ContainerPool& pool,
+                                           MemMb needed_mb,
+                                           TimeUs now) override
+    {
+        return inner_->selectVictims(pool, needed_mb, now);
+    }
+    std::vector<ContainerId> expiredContainers(const ContainerPool& pool,
+                                               TimeUs now) override
+    {
+        ++*ticks_;
+        return inner_->expiredContainers(pool, now);
+    }
+    std::vector<FunctionId> duePrewarms(TimeUs now) override
+    {
+        return inner_->duePrewarms(now);
+    }
+
+  private:
+    std::unique_ptr<KeepAlivePolicy> inner_;
+    int* ticks_;
+};
+
+/** A handful of arrivals spread over one simulated day. */
+Trace
+idleDayTrace()
+{
+    Trace t("idle-day");
+    t.addFunction(fn(0, 100));
+    t.addFunction(fn(1, 200));
+    t.addInvocation(0, 0);
+    t.addInvocation(1, 6 * kHour + 3 * kSecond);
+    t.addInvocation(0, 12 * kHour);
+    t.addInvocation(0, 23 * kHour + 59 * kMinute);
+    return t;
+}
+
+struct TickCount
+{
+    int ticks = 0;
+    PlatformResult result;
+};
+
+TickCount
+countTicks(const Trace& trace, ServerConfig cfg, bool incremental)
+{
+    TickCount out;
+    Server server(std::make_unique<TickCountingPolicy>(&out.ticks), cfg);
+    if (!incremental) {
+        out.result = server.run(trace);
+        return out;
+    }
+    server.begin(trace.functions(), trace.invocations().size());
+    const auto& invs = trace.invocations();
+    for (std::size_t i = 0; i < invs.size(); ++i) {
+        server.advanceTo(invs[i].arrival_us);
+        server.offer(i, invs[i], invs[i].arrival_us);
+    }
+    out.result = server.finish(24 * kHour);
+    return out;
+}
+
+// Every tick of the day, as run() and the incremental driver schedule
+// them without parking.
+int
+fullRunTicks(const Trace& trace, const ServerConfig& cfg)
+{
+    return static_cast<int>((trace.invocations().back().arrival_us +
+                             cfg.queue_timeout_us) /
+                            cfg.maintenance_interval_us) + 1;
+}
+
+int
+fullIncrementalTicks(const ServerConfig& cfg)
+{
+    return static_cast<int>(24 * kHour / cfg.maintenance_interval_us) + 1;
+}
+
+TEST(Server, QuiescentGreedyDualServerParksItsTicks)
+{
+    const Trace trace = idleDayTrace();
+    const ServerConfig cfg = config(2, 1'000);
+    const int arrivals = static_cast<int>(trace.invocations().size());
+    ASSERT_GT(fullRunTicks(trace, cfg), 8'000);
+    for (bool incremental : {false, true}) {
+        const TickCount parked = countTicks(trace, cfg, incremental);
+        EXPECT_GT(parked.ticks, 0) << "incremental=" << incremental;
+        EXPECT_LE(parked.ticks, 3 * arrivals + 1)
+            << "incremental=" << incremental;
+        EXPECT_EQ(parked.result.served(), arrivals);
+    }
+}
+
+TEST(Server, AuditorOrBrownoutKeepsEveryTick)
+{
+    const Trace trace = idleDayTrace();
+    Auditor audit;
+    ServerConfig audited = config(2, 1'000);
+    audited.audit = &audit;
+    ServerConfig brownout = config(2, 1'000);
+    brownout.overload.brownout.enabled = true;
+    ServerConfig reference = config(2, 1'000);
+    reference.platform_backend = PlatformBackend::Reference;
+    for (const ServerConfig& cfg : {audited, brownout, reference}) {
+        EXPECT_EQ(countTicks(trace, cfg, /*incremental=*/false).ticks,
+                  fullRunTicks(trace, cfg));
+        EXPECT_EQ(countTicks(trace, cfg, /*incremental=*/true).ticks,
+                  fullIncrementalTicks(cfg));
+    }
+    EXPECT_EQ(audit.violationCount(), 0) << audit.report();
 }
 
 }  // namespace
