@@ -4,9 +4,11 @@
 # Scope: the shared event engine (src/engine/), the core hot path
 # (src/core/), the trace substrate (src/trace/ — the .ftrace
 # mmap reader parses untrusted bytes, so it stays permanently in
-# scope), and the sharded cluster engine (src/platform/cluster_shard.cc
+# scope), the sharded cluster engine (src/platform/cluster_shard.cc
 # — barrier/mailbox concurrency deserves standing static analysis),
-# plus the sources this branch touches relative to the merge base —
+# and the invoker model (src/platform/server.cc — the one driver every
+# standalone and cluster server runs, with its tick parking), plus the
+# sources this branch touches relative to the merge base —
 # the files a PR is responsible for — instead of the whole tree, so
 # the gate stays fast and PRs are not penalized for pre-existing
 # findings elsewhere.
@@ -40,11 +42,13 @@ fi
 cd "$ROOT"
 
 # The engine, the core hot path (slab pool, policies), the trace
-# substrate (.ftrace parsing of untrusted bytes), and the sharded
-# cluster engine (cross-thread barrier/mailbox protocol) are always in
-# scope; add the branch's touched C++ sources.
+# substrate (.ftrace parsing of untrusted bytes), the sharded cluster
+# engine (cross-thread barrier/mailbox protocol) and the invoker model
+# (the single server driver) are always in scope; add the branch's
+# touched C++ sources.
 FILES=$(ls src/engine/*.cc src/core/*.cc src/trace/*.cc \
-           src/platform/cluster_shard.cc 2>/dev/null)
+           src/platform/cluster_shard.cc src/platform/server.cc \
+           2>/dev/null)
 if git rev-parse --verify --quiet "$BASE_REF" >/dev/null; then
     DIFF_BASE=$BASE_REF
 elif git rev-parse --verify --quiet HEAD~1 >/dev/null; then

@@ -627,19 +627,22 @@ Server::handleEvent(const ServerEvent& event)
         break;
       }
       case EventKind::Maintenance:
+        // Ticks fire on the grid k * interval <= horizon_us_. finish()
+        // may lower the horizon below a tick armed before it was known.
+        if (now > horizon_us_)
+            break;
         if (!down_)
             maintenance(now);
-        if (incremental_) {
-            // Park instead of rescheduling: until a mutator runs, every
-            // later tick would find the same quiescent state and do
-            // nothing. rearmParkedTick() restores the chain exactly.
-            if (quiescent()) {
-                tick_parked_ = true;
-                break;
-            }
-            const TimeUs next = now + config_.maintenance_interval_us;
-            if (next <= horizon_us_)
-                events_.schedule(next, EventKind::Maintenance);
+        // Park instead of rescheduling: until a mutator runs, every
+        // later tick would find the same quiescent state and do
+        // nothing. rearmParkedTick() restores the chain exactly.
+        if (quiescent()) {
+            tick_parked_ = true;
+            break;
+        }
+        if (now + config_.maintenance_interval_us <= horizon_us_) {
+            events_.schedule(now + config_.maintenance_interval_us,
+                             EventKind::Maintenance);
         }
         break;
       case EventKind::Retry:
@@ -783,7 +786,7 @@ Server::crash(TimeUs now)
         // they resolve externally.
         audit_resolved_ +=
             static_cast<std::int64_t>(fallout.flushed_queue.size());
-        if (incremental_) {
+        if (external_fallout_) {
             audit_external_returns_ +=
                 static_cast<std::int64_t>(fallout.flushed_queue.size());
         }
@@ -902,65 +905,49 @@ Server::beginRunCommon(const std::vector<FunctionSpec>& functions,
     pool_.reserve(/*containers=*/256, functions.size());
 }
 
+void
+Server::scheduleFaultPlan()
+{
+    if (injector_ == nullptr)
+        return;
+    const auto& crashes = injector_->crashes();
+    for (std::size_t k = 0; k < crashes.size(); ++k)
+        events_.scheduleFailure(crashes[k].at_us, EventKind::Crash, k);
+    const auto& ooms = injector_->oomKills();
+    for (std::size_t k = 0; k < ooms.size(); ++k)
+        events_.scheduleFailure(ooms[k].at_us, EventKind::OomKill, k);
+}
+
 PlatformResult
 Server::run(const Trace& trace)
 {
     if (config_.platform_backend == PlatformBackend::Reference) {
         beginRun(trace);
-        incremental_ = false;
-
-        TimeUs horizon = 0;
-        std::size_t maintenance_ticks = 0;
-        if (!trace.invocations().empty()) {
-            horizon = trace.invocations().back().arrival_us +
-                config_.queue_timeout_us;
-            maintenance_ticks = static_cast<std::size_t>(
-                horizon / config_.maintenance_interval_us) + 1;
-        }
-        const std::size_t crashes_count =
-            injector_ != nullptr ? injector_->crashes().size() : 0;
-        const std::size_t ooms_count =
-            injector_ != nullptr ? injector_->oomKills().size() : 0;
-
-        // Reserve the whole setup load (arrivals + maintenance ticks +
-        // crashes) up front so the heap never reallocates mid-run;
-        // runtime events (finishes, retries, restarts) only replace
-        // delivered setup events, so the high-water mark is the setup
-        // count.
-        events_.reserve(trace.invocations().size() + maintenance_ticks +
-                        crashes_count + ooms_count);
-
-        for (std::size_t i = 0; i < trace.invocations().size(); ++i) {
-            events_.schedule(trace.invocations()[i].arrival_us,
-                             EventKind::Arrival, i);
-        }
-        for (std::size_t k = 0; k < maintenance_ticks; ++k) {
-            events_.schedule(
-                static_cast<TimeUs>(k) * config_.maintenance_interval_us,
-                EventKind::Maintenance);
-        }
-        if (injector_ != nullptr) {
-            const auto& crashes = injector_->crashes();
-            for (std::size_t k = 0; k < crashes.size(); ++k) {
-                events_.scheduleFailure(crashes[k].at_us,
-                                        EventKind::Crash, k);
-            }
-            const auto& ooms = injector_->oomKills();
-            for (std::size_t k = 0; k < ooms.size(); ++k) {
-                events_.scheduleFailure(ooms[k].at_us,
-                                        EventKind::OomKill, k);
-            }
-        }
+        external_fallout_ = false;
+        const auto& invocations = trace.invocations();
+        horizon_us_ = invocations.empty()
+            ? 0
+            : invocations.back().arrival_us + config_.queue_timeout_us;
+        // The oracle preschedules every arrival, so arrivals take the
+        // lowest sequence numbers and win every timestamp tie — the
+        // order the Dense driver gets by offering each arrival before
+        // it settles that instant's events.
+        events_.reserve(invocations.size() + 64);
+        for (std::size_t i = 0; i < invocations.size(); ++i)
+            events_.schedule(invocations[i].arrival_us, EventKind::Arrival, i);
+        if (!invocations.empty())
+            events_.schedule(0, EventKind::Maintenance);
+        scheduleFaultPlan();
 
         while (!events_.empty())
             handleEvent(events_.pop());
 
-        return closeRun(horizon);
+        return closeRun(horizon_us_);
     }
 
-    // Dense: stream the trace through the arrival-cursor merge. The
+    // Dense: stream the trace through the incremental driver. The
     // eager validation here preserves run()'s historical contract (the
-    // streamed core only detects violations as it consumes them).
+    // streamed loop only detects violations as it consumes them).
     if (!trace.validate() || !trace.isSorted())
         throw std::invalid_argument("Server: invalid or unsorted trace");
     TraceSource source(trace);
@@ -977,135 +964,38 @@ Server::run(InvocationSource& source)
         return run(trace);
     }
 
+    // Dense: the same begin/advanceTo/offer/finish loop the cluster
+    // front end runs, so standalone and cluster servers share one tick
+    // chain, one parking path and one horizon rule. Only failure-plan
+    // and runtime traffic enter the heap; arrivals stay in the cursor.
     source.reset();
-    trace_ = nullptr;
-    beginRunCommon(source.functions(), source.countHint().count);
-    incremental_ = false;
+    begin(source.functions(), source.countHint().count);
+    external_fallout_ = false;
+    scheduleFaultPlan();
 
-    const std::size_t crashes_count =
-        injector_ != nullptr ? injector_->crashes().size() : 0;
-    const std::size_t ooms_count =
-        injector_ != nullptr ? injector_->oomKills().size() : 0;
-    // Only failure-plan and runtime traffic ever enters the heap; the
-    // arrival and maintenance schedules live in cursors. Keeping the
-    // heap O(pending work) is what makes peak memory independent of
-    // stream length.
-    events_.reserve(crashes_count + ooms_count + 64);
-    std::vector<EventBatchItem<EventKind>> setup;
-    setup.reserve(std::max(crashes_count, ooms_count));
-    if (injector_ != nullptr) {
-        const auto& crashes = injector_->crashes();
-        for (std::size_t k = 0; k < crashes.size(); ++k) {
-            EventBatchItem<EventKind> item;
-            item.time_us = crashes[k].at_us;
-            item.kind = EventKind::Crash;
-            item.payload = k;
-            setup.push_back(item);
-        }
-        events_.scheduleBatch(setup, EventLane::Failure);
-        const auto& ooms = injector_->oomKills();
-        setup.clear();
-        for (std::size_t k = 0; k < ooms.size(); ++k) {
-            EventBatchItem<EventKind> item;
-            item.time_us = ooms[k].at_us;
-            item.kind = EventKind::OomKill;
-            item.payload = k;
-            setup.push_back(item);
-        }
-        events_.scheduleBatch(setup, EventLane::Failure);
-    }
-
-    // Three-way merge, ordered exactly like the trace replay: the
-    // arrival cursor wins every timestamp tie (the reference schedules
-    // arrivals with the lowest sequence numbers), the maintenance-tick
-    // cursor wins ties against the heap (setup ticks precede runtime
-    // events there, and the Normal lane precedes Failure regardless of
-    // sequence), and the heap settles the rest. The tick budget is
-    // fixed the moment the source runs dry: the trace replay schedules
-    // horizon / interval + 1 ticks with horizon = last arrival + queue
-    // timeout, and every tick emitted while arrivals remain is earlier
-    // than the next arrival, hence within that budget. A tick that
-    // leaves the server quiescent() skips the cursor ahead: every tick
-    // before the next arrival would be a no-op, and the tick at the
-    // arrival instant still fires after it (arrivals win ties).
-    const TimeUs interval = config_.maintenance_interval_us;
-    constexpr std::size_t kUnbounded =
-        std::numeric_limits<std::size_t>::max();
-    std::size_t tick_budget = kUnbounded;
-    std::size_t ticks_emitted = 0;
     std::size_t index = 0;
     TimeUs last_arrival = 0;
     Invocation inv;
-    for (;;) {
-        const bool have_arrival = source.peek(inv);
-        if (!have_arrival && tick_budget == kUnbounded) {
-            tick_budget = index == 0
-                ? 0
-                : static_cast<std::size_t>(
-                      (last_arrival + config_.queue_timeout_us) /
-                      interval) + 1;
+    while (source.next(inv)) {
+        if (config_.cancel != nullptr)
+            config_.cancel->throwIfCancelled();
+        if (inv.arrival_us < last_arrival) {
+            throw std::runtime_error(
+                "Server: source arrivals out of order (" +
+                std::to_string(inv.arrival_us) + " after " +
+                std::to_string(last_arrival) + ")");
         }
-        const bool have_tick = ticks_emitted < tick_budget;
-        const TimeUs tick_time =
-            static_cast<TimeUs>(ticks_emitted) * interval;
-        if (!have_arrival && !have_tick && events_.empty())
-            break;
-        if (have_arrival && (!have_tick || inv.arrival_us <= tick_time) &&
-            (events_.empty() || inv.arrival_us <= events_.nextTime())) {
-            if (config_.cancel != nullptr)
-                config_.cancel->throwIfCancelled();
-            if (inv.arrival_us < last_arrival) {
-                throw std::runtime_error(
-                    "Server: source arrivals out of order (" +
-                    std::to_string(inv.arrival_us) + " after " +
-                    std::to_string(last_arrival) + ")");
-            }
-            const TimeUs now = inv.arrival_us;
-            clock_.advanceTo(now);
-            // Same-instant arrivals (the Azure replay's minute buckets)
-            // are admitted as one batch without re-consulting the heap:
-            // nothing scheduled while admitting them can precede a
-            // remaining same-time arrival.
-            do {
-                Invocation consumed;
-                source.next(consumed);
-                if (consumed.function >= catalog_->size()) {
-                    throw std::runtime_error(
-                        "Server: source function id " +
-                        std::to_string(consumed.function) +
-                        " out of range (catalog " +
-                        std::to_string(catalog_->size()) + ")");
-                }
-                acceptArrival(index, consumed, now,
-                              /*redispatched=*/false);
-                ++index;
-            } while (source.peek(inv) && inv.arrival_us == now);
-            last_arrival = now;
-            continue;
+        if (inv.function >= catalog_->size()) {
+            throw std::runtime_error(
+                "Server: source function id " +
+                std::to_string(inv.function) + " out of range (catalog " +
+                std::to_string(catalog_->size()) + ")");
         }
-        if (have_tick &&
-            (events_.empty() || tick_time <= events_.nextTime())) {
-            ServerEvent tick;
-            tick.time_us = tick_time;
-            tick.kind = EventKind::Maintenance;
-            handleEvent(tick);
-            ++ticks_emitted;
-            if (quiescent()) {
-                ticks_emitted = have_arrival
-                    ? std::max(ticks_emitted,
-                               static_cast<std::size_t>(
-                                   (inv.arrival_us + interval - 1) /
-                                   interval))
-                    : tick_budget;
-            }
-            continue;
-        }
-        handleEvent(events_.pop());
+        last_arrival = inv.arrival_us;
+        advanceTo(last_arrival);
+        offer(index++, inv, last_arrival);
     }
-
-    const TimeUs horizon =
-        index == 0 ? 0 : last_arrival + config_.queue_timeout_us;
-    return closeRun(horizon);
+    return finish(index == 0 ? 0 : last_arrival + config_.queue_timeout_us);
 }
 
 void
@@ -1114,7 +1004,7 @@ Server::begin(const std::vector<FunctionSpec>& functions,
 {
     trace_ = nullptr;
     beginRunCommon(functions, invocation_hint);
-    incremental_ = true;
+    external_fallout_ = true;
     horizon_us_ = std::numeric_limits<TimeUs>::max();
     // The heap only ever holds runtime traffic (the dispatcher streams
     // arrivals through offer()), so a modest reservation keeps peak
@@ -1215,7 +1105,6 @@ Server::closeRun(TimeUs horizon_us)
         }
         pool_.auditInvariants(*audit_, now);
     }
-    incremental_ = false;
     trace_ = nullptr;
     catalog_ = nullptr;
     return result_;

@@ -19,13 +19,13 @@
  * (fault_injection.h): transient container-spawn failures, cold-start
  * stragglers, memory-reclaim stalls, and crashes that drain running
  * work, flush the container pool, and take the server offline until a
- * restart. Two driving modes exist:
- *  - run() replays a whole trace standalone (crashes in the attached
- *    injector's plan are self-scheduled; work lost to a crash is
- *    accounted as lost on this server);
+ * restart. One driver, two callers:
  *  - begin()/offer()/advanceTo()/finish() let an external dispatcher —
  *    the cluster front end — feed invocations incrementally, observe
- *    health, and re-dispatch the fallout of a crash to other servers.
+ *    health, and re-dispatch the fallout of a crash to other servers;
+ *  - run() replays a whole stream standalone through that same loop
+ *    (crashes in the attached injector's plan are self-scheduled; work
+ *    lost to a crash is accounted as lost on this server).
  */
 #ifndef FAASCACHE_PLATFORM_SERVER_H_
 #define FAASCACHE_PLATFORM_SERVER_H_
@@ -76,9 +76,9 @@ using ServerEvent = EngineEvent<EventKind>;
  * Platform hot-path backend (DESIGN.md §4f). Dense is the production
  * interior: queued requests live in a recycled-slot arena threaded as
  * an intrusive FIFO (the drain walks and unlinks in place instead of
- * rebuilding a deque per event), and run() merges the sorted trace
- * against the event heap with same-instant arrivals admitted as one
- * batch, so the heap never carries the O(trace) arrival load.
+ * rebuilding a deque per event), and run() streams arrivals through
+ * the incremental driver (begin/advanceTo/offer/finish), so the heap
+ * never carries the O(trace) arrival load.
  * Reference is the original deque-rebuild + arrival-heap path, kept
  * alive as a differential-testing oracle exactly like
  * PoolBackend::ReferenceMap. The two are observably identical —
@@ -87,7 +87,7 @@ using ServerEvent = EngineEvent<EventKind>;
  */
 enum class PlatformBackend : std::uint8_t
 {
-    Dense,      ///< arena request queue + arrival-cursor merge (default)
+    Dense,      ///< arena request queue + streamed arrivals (default)
     Reference,  ///< original per-event deque rebuild + arrival heap
 };
 
@@ -125,7 +125,11 @@ struct ServerConfig
 
     /**
      * Period of expiry/prewarm housekeeping. Ticks fall on the grid
-     * k * maintenance_interval_us. The Dense backend skips the ticks of
+     * k * maintenance_interval_us up to the run's horizon (finish()'s
+     * argument; last arrival + queue_timeout_us for run()). Each tick
+     * schedules the next as an ordinary event, so a tick and a runtime
+     * event at the same instant are delivered in scheduling (FIFO)
+     * order under every driver. The Dense backend skips the ticks of
      * a quiescent server (empty event heap and request queue) whose
      * policy is resourceConserving(), while no auditor is attached and
      * brownout is off: such ticks provably do nothing, so results are
@@ -286,8 +290,9 @@ class Server
 
     /**
      * Attach a fault injector (non-owning; must outlive the server).
-     * run() self-schedules the injector's crash events; the incremental
-     * API leaves crash scheduling to the external dispatcher.
+     * Spawn failures, stragglers and reclaim stalls apply under every
+     * driver. run() also self-schedules the injector's crashes and OOM
+     * kills; begin() does not, leaving them to the external dispatcher.
      */
     void setFaultInjector(FaultInjector* injector) { injector_ = injector; }
 
@@ -302,16 +307,17 @@ class Server
 
     /**
      * Replay an arbitrary invocation stream to completion (DESIGN.md
-     * §4h). The Dense backend consumes the source as a cursor — peak
-     * memory stays O(catalog + pending work) regardless of stream
-     * length — via a three-way merge: the arrival cursor wins every
-     * timestamp tie (the trace replay hands arrivals the lowest
-     * sequence numbers), a maintenance-tick cursor wins ties against
-     * the event heap (setup ticks precede runtime events there), and
-     * the heap carries only failure-plan and runtime traffic. The
-     * Reference backend preschedules every arrival and therefore
-     * materializes the source first. Both produce a PlatformResult
-     * byte-identical to run(Trace) over the equivalent trace.
+     * §4h). The Dense backend is a loop over the incremental API:
+     * begin(), the injector's crashes and OOM kills on the Failure
+     * lane, then advanceTo(t) + offer() per arrival, and finally
+     * finish(last arrival + queue_timeout_us), or finish(0) for an
+     * empty source. It consumes the source as a cursor, so peak memory
+     * stays O(catalog + pending work) regardless of stream length.
+     * Arrivals win every timestamp tie: each is offered before the
+     * events of its instant are settled. The Reference backend
+     * preschedules every arrival and therefore materializes the source
+     * first. Both produce a PlatformResult byte-identical to run(Trace)
+     * over the equivalent trace.
      */
     PlatformResult run(InvocationSource& source);
 
@@ -355,9 +361,9 @@ class Server
 
     /**
      * Drain all remaining events and return the accounting.
-     * @param horizon_us End of the observation window: maintenance
-     *        stops re-arming past it and open downtime is charged up
-     *        to it.
+     * @param horizon_us End of the observation window: no maintenance
+     *        tick fires past it (one already armed beyond it is
+     *        dropped), and open downtime is charged up to it.
      */
     PlatformResult finish(TimeUs horizon_us);
     /** @} */
@@ -538,12 +544,17 @@ class Server
 
     void evict(ContainerId id, TimeUs now, bool expired);
 
-    /** Shared arrival path of run()'s Arrival events and offer(). */
+    /** Shared arrival path of the Reference replay's Arrival events
+     *  and offer(). */
     bool acceptArrival(std::size_t invocation_index, const Invocation& inv,
                        TimeUs now, bool redispatched);
 
     /** Process one event from the internal queue. */
     void handleEvent(const ServerEvent& event);
+
+    /** Schedule the attached injector's crashes and OOM kills on the
+     *  Failure lane (standalone run() only). */
+    void scheduleFaultPlan();
 
     /** Reset per-run accounting and bind `trace`. */
     void beginRun(const Trace& trace);
@@ -625,10 +636,16 @@ class Server
     /** Occupied CPU slots (cold inits may hold extra slots). */
     int running_ = 0;
 
-    /** Externally driven (begin/offer/finish) run in progress. */
-    bool incremental_ = false;
+    /**
+     * Crash fallout goes back to an external front end, which
+     * re-dispatches it, so flushed requests resolve outside this
+     * server's counters (audit_external_returns_). begin() sets it;
+     * run() clears it, since a standalone crash loses its fallout here.
+     */
+    bool external_fallout_ = false;
 
-    /** Maintenance re-arm bound for incremental runs. */
+    /** Last instant a maintenance tick may fire: the run's horizon, or
+     *  unbounded until finish() names it. */
     TimeUs horizon_us_ = 0;
 
     /**
@@ -639,8 +656,8 @@ class Server
      */
     bool can_park_ = false;
 
-    /** Incremental run: the maintenance tick found the server quiescent
-     *  and did not reschedule itself; the next mutator re-arms it. */
+    /** The maintenance tick found the server quiescent and did not
+     *  reschedule itself; the next mutator re-arms it. */
     bool tick_parked_ = false;
 
     bool down_ = false;

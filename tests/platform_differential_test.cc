@@ -1,6 +1,6 @@
 // Differential battery for the platform hot-path rebuild (DESIGN.md
-// §4f): PlatformBackend::Dense (arena request queue, arrival-cursor
-// merge, batched setup pushes) must be byte-identical to
+// §4f): PlatformBackend::Dense (arena request queue, streamed
+// arrivals, parked ticks) must be byte-identical to
 // PlatformBackend::Reference (the original deque/heap path, retained
 // as the oracle) for every policy, memory pressure, fault plan, and
 // overload configuration — standalone servers, fault-aware clusters,
@@ -81,8 +81,8 @@ pressureTrace()
 
 /**
  * Azure-replay shape: every function fires on shared minute
- * boundaries, so arrivals pile onto identical timestamps — the
- * same-instant batch-admission path of the dense cursor merge.
+ * boundaries, so arrivals pile onto identical timestamps: many
+ * offers at one instant, with nothing left to settle between them.
  */
 const Trace&
 minuteBucketTrace()
@@ -547,11 +547,11 @@ TEST(PlatformDifferential, FingerprintSeesBackendFlip)
 
 // --------------------------------------------------------------------
 // Parked maintenance ticks. A Dense server whose policy is
-// resource-conserving skips the ticks of a quiescent stretch — run()
-// jumps its tick cursor, incremental driving parks the tick until the
-// next offer/crash/restart/oomKill — while the Reference backend fires
-// every one. Parking is off under an auditor, so the Dense side of
-// these cases runs unaudited; the Reference side keeps the auditor.
+// resource-conserving skips the ticks of a quiescent stretch — it
+// parks the tick until the next offer/crash/restart/oomKill — while
+// the Reference backend fires every one. Parking is off under an
+// auditor, so the Dense side of these cases runs unaudited; the
+// Reference side keeps the auditor.
 
 constexpr TimeUs kTick = 10 * kSecond;
 
@@ -656,9 +656,10 @@ parkingServer()
 }
 
 /** Replay `trace` through begin/offer/advanceTo/finish, settling the
- *  server to each arrival first exactly like the cluster does. */
+ *  server to each arrival first exactly like the cluster does, and
+ *  finish at the last arrival + `tail` (0 for an empty trace). */
 PlatformResult
-runIncremental(Server& server, const Trace& trace)
+runIncremental(Server& server, const Trace& trace, TimeUs tail = kMinute)
 {
     server.begin(trace.functions(), trace.invocations().size());
     const auto& invs = trace.invocations();
@@ -667,7 +668,7 @@ runIncremental(Server& server, const Trace& trace)
         server.offer(i, invs[i], invs[i].arrival_us);
     }
     return server.finish(invs.empty() ? 0
-                                      : invs.back().arrival_us + kMinute);
+                                      : invs.back().arrival_us + tail);
 }
 
 void
@@ -810,6 +811,144 @@ TEST(ParkedTicks, FaultsOnParkedClusterServersAgree)
             EXPECT_GE(oom_kills, 1) << label;
         }
     }
+}
+
+// --------------------------------------------------------------------
+// One Dense driver: run() is a loop over begin/advanceTo/offer/finish,
+// so the standalone replay, that loop driven by hand, and the
+// Reference replay share one tick chain, one tick order and one
+// horizon rule. The Dense runs are unaudited so that parking stays on.
+
+/**
+ * Assert byte-identical payloads from Dense run(), the hand-driven
+ * begin/advanceTo/offer/finish loop (skipped when `plan` is set:
+ * begin() leaves crashes and OOM kills to the caller), and the audited
+ * Reference run().
+ */
+void
+expectDriversAgree(const Trace& trace, PolicyKind kind, ServerConfig server,
+                   const PolicyConfig& policy, const FaultPlan* plan,
+                   const std::string& label)
+{
+    server.platform_backend = PlatformBackend::Dense;
+    server.audit = nullptr;
+    const std::string dense_run = encodePlatformCheckpointPayload(
+        "cell", runOne(trace, kind, server, policy, plan));
+    Auditor audit;
+    ServerConfig reference = server;
+    reference.platform_backend = PlatformBackend::Reference;
+    reference.audit = &audit;
+    const std::string reference_run = encodePlatformCheckpointPayload(
+        "cell", runOne(trace, kind, reference, policy, plan));
+    EXPECT_EQ(dense_run, reference_run) << "run() diverged: " << label;
+    EXPECT_EQ(audit.violationCount(), 0)
+        << label << ": " << audit.report();
+    if (plan != nullptr)
+        return;
+    Server driven(makePolicy(kind, policy), server);
+    const std::string dense_loop = encodePlatformCheckpointPayload(
+        "cell", runIncremental(driven, trace, server.queue_timeout_us));
+    EXPECT_EQ(dense_loop, reference_run) << "loop diverged: " << label;
+}
+
+// The fault plan puts crashes, restarts and OOM kills on grid points,
+// each restart scheduled more than one interval before it lands.
+TEST(SingleDriver, EveryPolicyAgreesAcrossDrivers)
+{
+    FaultPlan grid_faults;
+    grid_faults.crashes.push_back(
+        CrashEvent{0, 40 * kSecond, 30 * kSecond});
+    grid_faults.crashes.push_back(
+        CrashEvent{0, 125 * kSecond, 25 * kSecond});
+    grid_faults.oom_kills.push_back(OomKillEvent{0, 100 * kSecond});
+    grid_faults.oom_kills.push_back(OomKillEvent{0, 200 * kSecond});
+    const FaultPlan* const plans[] = {nullptr, &grid_faults};
+    for (PolicyKind kind : allPolicyKinds()) {
+        for (bool overload_on : {false, true}) {
+            for (const FaultPlan* plan : plans) {
+                ServerConfig server;
+                server.cores = 4;
+                server.memory_mb = 700.0;
+                server.cold_start_cpu_slots = 2;
+                if (overload_on)
+                    server.overload = fullOverload();
+                expectDriversAgree(
+                    pressureTrace(), kind, server, PolicyConfig{}, plan,
+                    policyKindName(kind) +
+                        (overload_on ? "/overload-on" : "/overload-off") +
+                        (plan != nullptr ? "/grid-faults" : ""));
+            }
+        }
+    }
+}
+
+// The horizon (last arrival + a 3 s queue timeout = 54 s) falls
+// between grid points of a 10 s tick, and 2 s leases expire at almost
+// every tick. The loop arms the 60 s tick before finish() names the
+// horizon; firing it would expire the last container, an expiration
+// run() never sees.
+TEST(SingleDriver, QueueTimeoutBelowTickIntervalAgrees)
+{
+    Trace trace("driver-short-timeout");
+    addParkingCatalog(trace, 4);
+    for (TimeUs at : {TimeUs{0}, 12 * kSecond, 27 * kSecond,
+                      27 * kSecond + 1, 41 * kSecond, 51 * kSecond}) {
+        trace.addInvocation(
+            static_cast<FunctionId>((at / kSecond) % 4), at);
+    }
+    ServerConfig server = parkingServer();
+    server.queue_timeout_us = 3 * kSecond;
+    server.maintenance_interval_us = 10 * kSecond;
+    PolicyConfig policy;
+    policy.ttl_us = 2 * kSecond;
+    for (PolicyKind kind : allPolicyKinds()) {
+        expectDriversAgree(trace, kind, server, policy, nullptr,
+                           "short-timeout/" + policyKindName(kind));
+    }
+    Server ttl(makePolicy(PolicyKind::Ttl, policy), server);
+    EXPECT_GT(ttl.run(trace).expirations, 0);
+}
+
+TEST(SingleDriver, EmptyTraceWithAdmissionAndBrownoutAgrees)
+{
+    Trace empty("driver-empty");
+    addParkingCatalog(empty, 3);
+    ServerConfig server;
+    server.overload = fullOverload();
+    for (PolicyKind kind : allPolicyKinds()) {
+        expectDriversAgree(empty, kind, server, PolicyConfig{}, nullptr,
+                           "empty/" + policyKindName(kind));
+    }
+}
+
+// A cold start at 0 finishes at 30 s, on the 10 s tick grid. Its
+// Finish was scheduled at 0 and the tick at 30 s only at 20 s, so FIFO
+// delivers the Finish first: the tick sees the container idle, its
+// 20 s lease (counted from the start at 0) has run out, and the
+// arrival at 35 s starts cold. Ticking first would have found the
+// container busy and served that arrival warm.
+TEST(SingleDriver, FinishScheduledEarlierPrecedesATickAtItsInstant)
+{
+    Trace trace("driver-finish-on-grid");
+    trace.addFunction(makeFunction(0, "long", 128.0, 25 * kSecond,
+                                   5 * kSecond));
+    trace.addInvocation(0, 0);
+    trace.addInvocation(0, 35 * kSecond);
+    ServerConfig server;
+    server.cores = 2;
+    server.memory_mb = 512.0;
+    server.maintenance_interval_us = 10 * kSecond;
+    PolicyConfig policy;
+    policy.ttl_us = 20 * kSecond;
+    for (PolicyKind kind : allPolicyKinds()) {
+        expectDriversAgree(trace, kind, server, policy, nullptr,
+                           "finish-on-grid/" + policyKindName(kind));
+    }
+    Server ttl(makePolicy(PolicyKind::Ttl, policy), server);
+    const PlatformResult r = ttl.run(trace);
+    EXPECT_EQ(r.cold_starts, 2);
+    EXPECT_EQ(r.warm_starts, 0);
+    EXPECT_GE(r.expirations, 1);
 }
 
 }  // namespace

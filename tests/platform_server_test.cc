@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/policy_factory.h"
+#include "platform/experiment_checkpoint.h"
 #include "util/audit.h"
 
 namespace faascache {
@@ -255,6 +256,37 @@ TEST(Server, RejectsUnsortedTrace)
     t.addInvocation(0, 0);
     Server server(makePolicy(PolicyKind::Lru), config(2, 1'000));
     EXPECT_THROW(server.run(t), std::invalid_argument);
+}
+
+// finish(h) must not fire a maintenance tick past h. The incremental
+// driver arms ticks before it knows the horizon, so the tick at 10 s is
+// already in the heap when finish(6 s) names it; firing it would expire
+// the container idle since 7 s, which run() over the same trace (whose
+// last tick is the one at 0) never does.
+TEST(Server, FinishFiresNoTickPastItsHorizon)
+{
+    Trace t("t");
+    t.addFunction(fn(0, 100));
+    t.addInvocation(0, 5 * kSecond);
+    ServerConfig cfg = config(2, 1'000);
+    cfg.queue_timeout_us = kSecond;
+    PolicyConfig ttl;
+    ttl.ttl_us = 2 * kSecond;
+
+    Server standalone(makePolicy(PolicyKind::Ttl, ttl), cfg);
+    const PlatformResult ran = standalone.run(t);
+
+    Server driven(makePolicy(PolicyKind::Ttl, ttl), cfg);
+    driven.begin(t.functions(), t.invocations().size());
+    driven.advanceTo(5 * kSecond);
+    driven.offer(0, t.invocations()[0], 5 * kSecond);
+    const PlatformResult finished = driven.finish(6 * kSecond);
+
+    EXPECT_EQ(ran.expirations, 0);
+    EXPECT_EQ(finished.expirations, 0);
+    EXPECT_EQ(finished.served(), 1);
+    EXPECT_EQ(encodePlatformCheckpointPayload("cell", finished),
+              encodePlatformCheckpointPayload("cell", ran));
 }
 
 /**
