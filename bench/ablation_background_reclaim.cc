@@ -50,8 +50,8 @@ main(int argc, char** argv)
         cell.sim.background_free_target_mb = setting.target;
         cells.push_back(std::move(cell));
     }
-    const SweepReport report =
-        bench::runBenchSweep(cells, bench::parseBenchArgs(argc, argv));
+    const auto report = bench::runBenchSweep(
+        cells, bench::parseBenchArgs(argc, argv), runSweepReport);
 
     TablePrinter table({"Reclaimer", "cold %", "exec increase %",
                         "critical-path rounds", "background reclaims"});

@@ -74,8 +74,8 @@ main(int argc, char** argv)
             cells.push_back(std::move(cell));
         }
     }
-    const SweepReport report =
-        bench::runBenchSweep(cells, bench::parseBenchArgs(argc, argv));
+    const auto report = bench::runBenchSweep(
+        cells, bench::parseBenchArgs(argc, argv), runSweepReport);
 
     std::size_t next = 0;
     for (const Variant& variant : variants) {

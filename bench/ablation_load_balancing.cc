@@ -67,8 +67,8 @@ main(int argc, char** argv)
             axes.emplace_back(lb, kind);
         }
     }
-    const ClusterSweepReport report =
-        bench::runBenchClusterSweep(cells, options);
+    const auto report =
+        bench::runBenchSweep(cells, options, runClusterSweepReport);
 
     TablePrinter table({"Balancer", "Policy", "warm %", "cold", "dropped",
                         "mean latency (s)"});

@@ -56,8 +56,8 @@ main(int argc, char** argv)
             cells.push_back(std::move(cell));
         }
     }
-    const SweepReport report =
-        bench::runBenchSweep(cells, bench::parseBenchArgs(argc, argv));
+    const auto report = bench::runBenchSweep(
+        cells, bench::parseBenchArgs(argc, argv), runSweepReport);
 
     const auto cold_percent = [](const SimResult& r) {
         return r.coldStartPercent();

@@ -50,8 +50,8 @@ main(int argc, char** argv)
         cell.sim.memory_sample_interval_us = 0;
         cells.push_back(std::move(cell));
     }
-    const SweepReport report =
-        bench::runBenchSweep(cells, bench::parseBenchArgs(argc, argv));
+    const auto report = bench::runBenchSweep(
+        cells, bench::parseBenchArgs(argc, argv), runSweepReport);
 
     TablePrinter table({"Cache size (GB)", "Reuse-dist HR",
                         "SHARDS HR (R=0.1)", "Che approx HR",

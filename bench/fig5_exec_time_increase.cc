@@ -97,8 +97,8 @@ main(int argc, char** argv)
                      std::make_move_iterator(sub_cells.begin()),
                      std::make_move_iterator(sub_cells.end()));
     }
-    const SweepReport report =
-        bench::runBenchSweep(cells, bench::parseBenchArgs(argc, argv));
+    const auto report = bench::runBenchSweep(
+        cells, bench::parseBenchArgs(argc, argv), runSweepReport);
 
     std::size_t offset = 0;
     for (const Subfigure& sub : subfigures) {

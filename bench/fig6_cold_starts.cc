@@ -22,6 +22,7 @@
  */
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -51,6 +52,14 @@ struct Subfigure
 std::vector<SweepCell>
 cellsOf(const Subfigure& sub, const std::string& ftrace_path)
 {
+    // Every stream cell of a subfigure replays the same file, so one
+    // streaming pass fingerprints them all; left unset, the checkpoint
+    // fingerprint would stream the file once per cell.
+    std::uint64_t source_fingerprint = 0;
+    if (!ftrace_path.empty()) {
+        FtraceSource source(ftrace_path);
+        source_fingerprint = sourceFingerprint(source);
+    }
     std::vector<SweepCell> cells;
     for (MemMb size_mb : sub.sizes) {
         for (PolicyKind kind : allPolicyKinds()) {
@@ -63,6 +72,7 @@ cellsOf(const Subfigure& sub, const std::string& ftrace_path)
                       },
                       kind, size_mb);
             cell.sim.memory_sample_interval_us = 0;
+            cell.source_fingerprint = source_fingerprint;
             cells.push_back(std::move(cell));
         }
     }
@@ -139,8 +149,8 @@ main(int argc, char** argv)
                      std::make_move_iterator(sub_cells.begin()),
                      std::make_move_iterator(sub_cells.end()));
     }
-    const SweepReport report =
-        bench::runBenchSweep(cells, bench::parseBenchArgs(argc, argv));
+    const auto report = bench::runBenchSweep(
+        cells, bench::parseBenchArgs(argc, argv), runSweepReport);
     for (const std::string& path : ftrace_paths)
         if (!path.empty())
             std::remove(path.c_str());

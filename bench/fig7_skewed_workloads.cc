@@ -56,8 +56,8 @@ main(int argc, char** argv)
         cells.push_back({&workload.trace, PolicyKind::GreedyDual, server,
                          PolicyConfig{}, {}});
     }
-    const PlatformSweepReport report = bench::runBenchPlatformSweep(
-        cells, bench::parseBenchArgs(argc, argv));
+    const auto report = bench::runBenchSweep(
+        cells, bench::parseBenchArgs(argc, argv), runPlatformSweepReport);
 
     TablePrinter table({"Workload Type", "OW Cold", "OW Warm", "OW Drop",
                         "FC Cold", "FC Warm", "FC Drop", "FC/OW warm",

@@ -59,8 +59,8 @@ main(int argc, char** argv)
         {&trace, PolicyKind::Ttl, server, openwhisk_config, {}},
         {&trace, PolicyKind::GreedyDual, server, PolicyConfig{}, {}},
     };
-    const PlatformSweepReport report = bench::runBenchPlatformSweep(
-        cells, bench::parseBenchArgs(argc, argv));
+    const auto report = bench::runBenchSweep(
+        cells, bench::parseBenchArgs(argc, argv), runPlatformSweepReport);
     if (!report.allOk())
         return 1;
     PlatformComparison cmp;

@@ -61,8 +61,8 @@ main(int argc, char** argv)
     std::vector<ElasticCell> cells;
     cells.push_back({&trace, PolicyKind::GreedyDual, {}, controller,
                      elastic, "diurnal/GreedyDual/fig9"});
-    const ElasticSweepReport report =
-        bench::runBenchElasticSweep(cells, options);
+    const auto report =
+        bench::runBenchSweep(cells, options, runElasticSweepReport);
     if (!report.cells[0].ok())
         return 1;
     const ElasticResult& r = report.cells[0].result;

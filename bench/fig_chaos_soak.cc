@@ -197,8 +197,8 @@ main(int argc, char** argv)
         labels.push_back(scenario.label);
     }
 
-    const ClusterSweepReport report =
-        bench::runBenchClusterSweep(cells, options);
+    const auto report =
+        bench::runBenchSweep(cells, options, runClusterSweepReport);
 
     TablePrinter table({"Scenario", "Seeds", "Crashes", "OOMKills",
                         "PartSkips", "Shed", "Failed", "Recov(s)",

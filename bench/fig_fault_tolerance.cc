@@ -107,8 +107,8 @@ main(int argc, char** argv)
         labels.push_back(name + " faulted");
         cells.push_back({&trace, kind, faulted, {}, name + "/faulted"});
     }
-    const ClusterSweepReport report =
-        bench::runBenchClusterSweep(cells, options);
+    const auto report =
+        bench::runBenchSweep(cells, options, runClusterSweepReport);
 
     TablePrinter table({"Run", "Warm%", "Cold", "Dropped", "Shed",
                         "Failed", "Retries", "Failovers", "CrashCold",

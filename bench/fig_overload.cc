@@ -252,8 +252,8 @@ main(int argc, char** argv)
         }
     }
 
-    const ClusterSweepReport report =
-        bench::runBenchClusterSweep(cells, options);
+    const auto report =
+        bench::runBenchSweep(cells, options, runClusterSweepReport);
 
     TablePrinter table({"Run", "Goodput%", "Served%", "Warm%", "Cold",
                         "Drop", "Shed", "Denied", "Fail", "p50(s)",

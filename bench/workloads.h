@@ -123,17 +123,9 @@ struct BenchOptions
     /** Sweep worker count; 0 = hardware concurrency. */
     std::size_t jobs = 0;
 
-    /** Per-cell wall-clock deadline, seconds; 0 disables it. */
-    double deadline_s = 0.0;
-
-    /** Extra attempts after a failed or timed-out cell. */
-    int retries = 0;
-
-    /** Checkpoint journal path; empty disables checkpointing. */
-    std::string checkpoint_path;
-
-    /** Restore completed cells from checkpoint_path before running. */
-    bool resume = false;
+    /** Deadline, retries and checkpoint knobs of the sweep; the
+     *  signal-bound cancellation token is attached per run. */
+    SweepOptions sweep;
 };
 
 /**
@@ -189,69 +181,50 @@ parseBenchArgs(int argc, char** argv)
         if (const char* v = value_of("--jobs", i))
             options.jobs = parse_size(v);
         else if (const char* v = value_of("--deadline-s", i))
-            options.deadline_s = parse_double(v);
+            options.sweep.deadline_s = parse_double(v);
         else if (const char* v = value_of("--retries", i))
-            options.retries = static_cast<int>(parse_size(v));
+            options.sweep.max_retries = static_cast<int>(parse_size(v));
         else if (const char* v = value_of("--ckpt", i))
-            options.checkpoint_path = v;
+            options.sweep.checkpoint_path = v;
         else if (std::strcmp(argv[i], "--resume") == 0)
-            options.resume = true;
+            options.sweep.resume = true;
     }
-    if (options.resume && options.checkpoint_path.empty()) {
+    if (options.sweep.resume && options.sweep.checkpoint_path.empty()) {
         std::cerr << argv[0] << ": --resume requires --ckpt PATH\n";
         std::exit(2);
     }
     return options;
 }
 
-/** Legacy shim: the worker count alone. */
-inline std::size_t
-jobsFromArgs(int argc, char** argv)
-{
-    return parseBenchArgs(argc, argv).jobs;
-}
-
 /**
- * Non-ok cells, rendered one per line to `err` (empty report prints
- * nothing). @return the number of cells that did not produce a result.
- */
-template <typename Result>
-inline std::size_t
-reportCellIssues(const std::vector<CellOutcome<Result>>& cells,
-                 std::ostream& err)
-{
-    std::size_t issues = 0;
-    for (const CellOutcome<Result>& cell : cells) {
-        if (cell.ok())
-            continue;
-        ++issues;
-        err << "ERR cell " << cell.key << " ["
-            << cellStatusName(cell.status) << "]: " << cell.error;
-        if (cell.attempts > 1)
-            err << " (after " << cell.attempts << " attempts)";
-        err << "\n";
-    }
-    return issues;
-}
-
-/**
- * The bench's shared post-sweep behaviour, applied to any report
- * flavour (sim, platform, cluster, elastic — they share the
- * cells/completed/restored shape):
- *  - restored cells are announced on stderr;
- *  - a signal-interrupted sweep prints progress (with a resume hint
- *    when --ckpt is set) and exits 128+sig;
+ * Run a sweep of any result kind under the crash-safety harness with
+ * the bench's shared behaviour. `run_report` is the flavour's entry
+ * point (runSweepReport, runPlatformSweepReport, runClusterSweepReport
+ * or runElasticSweepReport):
+ *  - SIGINT/SIGTERM cancel outstanding cells, completed cells are kept
+ *    (and journaled when --ckpt is set), and the bench exits 128+sig
+ *    after printing progress (with a resume hint when --ckpt is set);
+ *  - --ckpt journals every completed cell; --resume restores from the
+ *    journal (announced on stderr) and re-runs only missing cells;
  *  - failed/timed-out cells are reported to stderr and rendered as ERR
  *    by the caller's table (cellText below); they never abort the run.
  */
-template <typename Report>
-inline Report
-finishBenchSweep(Report report, const BenchOptions& options)
+template <typename Cell, typename RunReport>
+inline auto
+runBenchSweep(const std::vector<Cell>& cells, const BenchOptions& options,
+              RunReport run_report)
 {
+    CancellationToken cancel;
+    ScopedSignalCancellation signals(cancel);
+
+    SweepOptions sweep = options.sweep;
+    sweep.cancel = &cancel;
+    auto report = run_report(cells, options.jobs, sweep);
+
     if (report.restored > 0) {
         std::cerr << "sweep: restored " << report.restored << " of "
                   << report.cells.size() << " cells from checkpoint "
-                  << options.checkpoint_path << "\n";
+                  << sweep.checkpoint_path << "\n";
     }
     if (!report.completed) {
         const std::size_t done =
@@ -260,98 +233,22 @@ finishBenchSweep(Report report, const BenchOptions& options)
                   << ScopedSignalCancellation::lastSignal() << "; "
                   << done << " of " << report.cells.size()
                   << " cells completed";
-        if (!options.checkpoint_path.empty())
-            std::cerr << " (journaled to " << options.checkpoint_path
+        if (!sweep.checkpoint_path.empty())
+            std::cerr << " (journaled to " << sweep.checkpoint_path
                       << "; rerun with --resume to continue)";
         std::cerr << "\n";
         std::exit(128 + ScopedSignalCancellation::lastSignal());
     }
-    reportCellIssues(report.cells, std::cerr);
+    for (const auto& cell : report.cells) {
+        if (cell.ok())
+            continue;
+        std::cerr << "ERR cell " << cell.key << " ["
+                  << cellStatusName(cell.status) << "]: " << cell.error;
+        if (cell.attempts > 1)
+            std::cerr << " (after " << cell.attempts << " attempts)";
+        std::cerr << "\n";
+    }
     return report;
-}
-
-/**
- * Run a SimResult sweep under the crash-safety harness with the bench's
- * shared behaviour:
- *  - SIGINT/SIGTERM cancel outstanding cells, completed cells are kept
- *    (and journaled when --ckpt is set), and the bench exits 128+sig;
- *  - --ckpt journals every completed cell; --resume restores from the
- *    journal and re-runs only missing cells;
- *  - failed/timed-out cells never abort the run (see finishBenchSweep).
- */
-inline SweepReport
-runBenchSweep(const std::vector<SweepCell>& cells,
-              const BenchOptions& options)
-{
-    CancellationToken cancel;
-    ScopedSignalCancellation signals(cancel);
-
-    SweepOptions sweep;
-    sweep.deadline_s = options.deadline_s;
-    sweep.max_retries = options.retries;
-    sweep.checkpoint_path = options.checkpoint_path;
-    sweep.resume = options.resume;
-    sweep.cancel = &cancel;
-
-    return finishBenchSweep(runSweepReport(cells, options.jobs, sweep),
-                            options);
-}
-
-/** Like runBenchSweep, for platform sweeps (PlatformResult journal). */
-inline PlatformSweepReport
-runBenchPlatformSweep(const std::vector<PlatformCell>& cells,
-                      const BenchOptions& options)
-{
-    CancellationToken cancel;
-    ScopedSignalCancellation signals(cancel);
-
-    PlatformSweepOptions sweep;
-    sweep.deadline_s = options.deadline_s;
-    sweep.max_retries = options.retries;
-    sweep.checkpoint_path = options.checkpoint_path;
-    sweep.resume = options.resume;
-    sweep.cancel = &cancel;
-
-    return finishBenchSweep(
-        runPlatformSweepReport(cells, options.jobs, sweep), options);
-}
-
-/** Like runBenchSweep, for cluster sweeps (ClusterResult journal). */
-inline ClusterSweepReport
-runBenchClusterSweep(const std::vector<ClusterCell>& cells,
-                     const BenchOptions& options)
-{
-    CancellationToken cancel;
-    ScopedSignalCancellation signals(cancel);
-
-    PlatformSweepOptions sweep;
-    sweep.deadline_s = options.deadline_s;
-    sweep.max_retries = options.retries;
-    sweep.checkpoint_path = options.checkpoint_path;
-    sweep.resume = options.resume;
-    sweep.cancel = &cancel;
-
-    return finishBenchSweep(
-        runClusterSweepReport(cells, options.jobs, sweep), options);
-}
-
-/** Like runBenchSweep, for elastic sweeps (ElasticResult journal). */
-inline ElasticSweepReport
-runBenchElasticSweep(const std::vector<ElasticCell>& cells,
-                     const BenchOptions& options)
-{
-    CancellationToken cancel;
-    ScopedSignalCancellation signals(cancel);
-
-    SweepOptions sweep;
-    sweep.deadline_s = options.deadline_s;
-    sweep.max_retries = options.retries;
-    sweep.checkpoint_path = options.checkpoint_path;
-    sweep.resume = options.resume;
-    sweep.cancel = &cancel;
-
-    return finishBenchSweep(
-        runElasticSweepReport(cells, options.jobs, sweep), options);
 }
 
 /**

@@ -9,9 +9,9 @@
 # Usage: kill_resume_smoke.sh [<bench-binary> [bench args...]]
 # Example: kill_resume_smoke.sh build/bench/fig6_cold_starts --jobs 2
 #
-# With no arguments, smokes one bench per checkpoint flavour: a
-# SimResult sweep (fig6_cold_starts) and a PlatformResult sweep
-# (fig7_skewed_workloads), both from ./build/bench.
+# With no arguments, smokes at least one bench per checkpoint flavour
+# (SimResult, PlatformResult, ClusterResult, ElasticResult), all from
+# ./build/bench; see the list at the bottom.
 set -u
 
 smoke_one() {
@@ -86,12 +86,13 @@ fi
 # fingerprint must survive the SIGKILL/resume cycle), two
 # platform-sweep benches (fig7, plus fig8 whose overloaded single
 # invoker exercises the dense platform hot path under checkpointing),
-# and one cluster-sweep bench (fig_overload, whose cells carry the
-# overload counters), so every checkpoint flavour gets the SIGKILL
-# treatment. The fig_overload sweep runs twice, at --shards 1 and at
-# --shards 4: each cell's cluster runs on one and on four worker
-# threads, and both runs' payloads must survive the SIGKILL/resume
-# cycle byte-for-byte.
+# one cluster-sweep bench (fig_overload, whose cells carry the
+# overload counters), and the elastic-sweep bench (fig9, whose
+# ElasticResult payload embeds a SimResult), so every checkpoint
+# flavour gets the SIGKILL treatment. The fig_overload sweep runs
+# twice, at --shards 1 and at --shards 4: each cell's cluster runs on
+# one and on four worker threads, and both runs' payloads must survive
+# the SIGKILL/resume cycle byte-for-byte.
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 STATUS=0
 smoke_one "$ROOT/build/bench/fig6_cold_starts" --jobs 2 || STATUS=1
@@ -100,4 +101,5 @@ smoke_one "$ROOT/build/bench/fig7_skewed_workloads" --jobs 2 || STATUS=1
 smoke_one "$ROOT/build/bench/fig8_server_load" --jobs 2 || STATUS=1
 smoke_one "$ROOT/build/bench/fig_overload" --smoke --jobs 2 --shards 1 || STATUS=1
 smoke_one "$ROOT/build/bench/fig_overload" --smoke --jobs 2 --shards 4 || STATUS=1
+smoke_one "$ROOT/build/bench/fig9_dynamic_scaling" --jobs 2 || STATUS=1
 exit $STATUS

@@ -4,9 +4,10 @@
  * keep-alive) versus FaasCache (Greedy-Dual keep-alive) on the same
  * server and workload (paper §7.2).
  *
- * Independent platform runs fan across a thread pool through
- * runPlatformSweep(); results come back in submission order, so sweep
- * output is byte-identical regardless of the worker count.
+ * Independent platform and cluster runs fan across a thread pool
+ * through the one sweep driver (util/sweep_journal.h); results come
+ * back in submission order, so sweep output is byte-identical
+ * regardless of the worker count.
  */
 #ifndef FAASCACHE_PLATFORM_EXPERIMENT_H_
 #define FAASCACHE_PLATFORM_EXPERIMENT_H_
@@ -18,8 +19,7 @@
 #include "platform/cluster.h"
 #include "platform/server.h"
 #include "trace/trace.h"
-#include "util/cancellation.h"
-#include "util/cell_harness.h"
+#include "util/sweep_journal.h"
 
 namespace faascache {
 
@@ -63,8 +63,9 @@ struct PlatformCell
 
 /**
  * Run every cell on a fixed-size worker pool and return the results in
- * cell order (deterministic for any jobs; 0 = hardware concurrency).
- * Rethrows the first cell failure, if any (strict mode).
+ * cell order (deterministic for any jobs; 0 = hardware concurrency):
+ * runPlatformSweepReport() in strict mode, so the first cell failure,
+ * if any, is rethrown.
  */
 std::vector<PlatformResult> runPlatformSweep(
     const std::vector<PlatformCell>& cells, std::size_t jobs = 0);
@@ -76,53 +77,6 @@ std::vector<PlatformResult> runPlatformSweep(
  */
 std::vector<std::string> platformCellKeys(
     const std::vector<PlatformCell>& cells);
-
-/** Crash-safety knobs shared by the platform and cluster sweeps. */
-struct PlatformSweepOptions
-{
-    /** Per-attempt wall-clock deadline, seconds; 0 disables it. */
-    double deadline_s = 0.0;
-
-    /** Extra attempts after a failed or timed-out first attempt. */
-    int max_retries = 0;
-
-    /** Rethrow the first cell failure instead of reporting it. */
-    bool strict = false;
-
-    /** Journal completed cells here; empty disables checkpointing. */
-    std::string checkpoint_path;
-
-    /**
-     * Restore completed cells from checkpoint_path before running.
-     * The file must exist and carry this grid's fingerprint.
-     */
-    bool resume = false;
-
-    /** External cancellation (non-owning; may be null). */
-    const CancellationToken* cancel = nullptr;
-};
-
-/** Everything a harnessed platform sweep produced. */
-struct PlatformSweepReport
-{
-    /** Per-cell outcomes, indexed like the input grid. */
-    std::vector<CellOutcome<PlatformResult>> cells;
-
-    /** False when external cancellation stopped the sweep early. */
-    bool completed = true;
-
-    /** Cells restored from the checkpoint instead of re-run. */
-    std::size_t restored = 0;
-
-    /** The resumed checkpoint had a torn tail (truncated, re-run). */
-    bool torn_tail = false;
-
-    std::size_t countWithStatus(CellStatus status) const;
-    bool allOk() const;
-
-    /** results()[i] is cells[i].result. @pre allOk(). */
-    std::vector<PlatformResult> results() const;
-};
 
 /**
  * Harnessed flavour of runPlatformSweep(): every cell resolves to a
@@ -137,9 +91,9 @@ struct PlatformSweepReport
  * @throws std::runtime_error when options.resume is set and the
  *         checkpoint cannot be read or belongs to a different grid.
  */
-PlatformSweepReport runPlatformSweepReport(
+SweepReport<PlatformResult> runPlatformSweepReport(
     const std::vector<PlatformCell>& cells, std::size_t jobs = 0,
-    const PlatformSweepOptions& options = {});
+    const SweepOptions& options = {});
 
 /** One independent cluster run of a sweep. */
 struct ClusterCell
@@ -167,28 +121,6 @@ struct ClusterCell
 std::vector<std::string> clusterCellKeys(
     const std::vector<ClusterCell>& cells);
 
-/** Everything a harnessed cluster sweep produced. */
-struct ClusterSweepReport
-{
-    /** Per-cell outcomes, indexed like the input grid. */
-    std::vector<CellOutcome<ClusterResult>> cells;
-
-    /** False when external cancellation stopped the sweep early. */
-    bool completed = true;
-
-    /** Cells restored from the checkpoint instead of re-run. */
-    std::size_t restored = 0;
-
-    /** The resumed checkpoint had a torn tail (truncated, re-run). */
-    bool torn_tail = false;
-
-    std::size_t countWithStatus(CellStatus status) const;
-    bool allOk() const;
-
-    /** results()[i] is cells[i].result. @pre allOk(). */
-    std::vector<ClusterResult> results() const;
-};
-
 /**
  * Cluster flavour of runPlatformSweepReport(): fan independent
  * runCluster() cells across a worker pool under the crash-safety
@@ -201,9 +133,9 @@ struct ClusterSweepReport
  * @throws std::runtime_error when options.resume is set and the
  *         checkpoint cannot be read or belongs to a different grid.
  */
-ClusterSweepReport runClusterSweepReport(
+SweepReport<ClusterResult> runClusterSweepReport(
     const std::vector<ClusterCell>& cells, std::size_t jobs = 0,
-    const PlatformSweepOptions& options = {});
+    const SweepOptions& options = {});
 
 /**
  * Run the vanilla-OpenWhisk vs FaasCache comparison. The two runs are

@@ -4,12 +4,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "sim/sweep_checkpoint.h"
-#include "util/sweep_journal.h"
-#include "util/thread_pool.h"
+#include "sim/sweep_runner.h"
 
 namespace faascache {
 
@@ -59,24 +57,12 @@ elasticCellKeys(const std::vector<ElasticCell>& cells)
     validateElasticCells(cells);
     std::vector<std::string> keys;
     keys.reserve(cells.size());
-    std::unordered_set<std::string> used;
-    for (const ElasticCell& cell : cells) {
-        std::string key = cell.key;
-        if (key.empty())
-            key = cell.trace->name() + "/" + policyKindName(cell.kind) +
-                "/elastic";
-        if (!used.insert(key).second) {
-            for (int n = 2;; ++n) {
-                std::string candidate = key + "#" + std::to_string(n);
-                if (used.insert(candidate).second) {
-                    key = std::move(candidate);
-                    break;
-                }
-            }
-        }
-        keys.push_back(std::move(key));
-    }
-    return keys;
+    for (const ElasticCell& cell : cells)
+        keys.push_back(cell.key.empty()
+                           ? cell.trace->name() + "/" +
+                               policyKindName(cell.kind) + "/elastic"
+                           : cell.key);
+    return dedupeSweepKeys(std::move(keys));
 }
 
 std::uint64_t
@@ -177,61 +163,16 @@ decodeElasticCheckpointPayload(const std::string& payload,
     return true;
 }
 
-std::size_t
-ElasticSweepReport::countWithStatus(CellStatus status) const
-{
-    std::size_t count = 0;
-    for (const CellOutcome<ElasticResult>& cell : cells)
-        count += cell.status == status ? 1 : 0;
-    return count;
-}
-
-bool
-ElasticSweepReport::allOk() const
-{
-    return countWithStatus(CellStatus::Ok) == cells.size();
-}
-
-std::vector<ElasticResult>
-ElasticSweepReport::results() const
-{
-    std::vector<ElasticResult> out;
-    out.reserve(cells.size());
-    for (const CellOutcome<ElasticResult>& cell : cells)
-        out.push_back(cell.result);
-    return out;
-}
-
-ElasticSweepReport
+SweepReport<ElasticResult>
 runElasticSweepReport(const std::vector<ElasticCell>& cells,
                       std::size_t jobs, const SweepOptions& options)
 {
-    validateElasticCells(cells);
-    const std::vector<std::string> keys = elasticCellKeys(cells);
-
-    ElasticSweepReport report;
-    report.cells.resize(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        report.cells[i].key = keys[i];
-
-    const std::uint64_t fingerprint = options.checkpoint_path.empty()
-        ? 0
-        : elasticSweepFingerprint(cells);
-    std::unique_ptr<CheckpointJournalWriter> writer = openSweepJournal(
-        options.checkpoint_path, options.resume, "runElasticSweepReport",
-        fingerprint, keys, report.cells, &report.restored,
-        &report.torn_tail, decodeElasticCheckpointPayload);
-
-    CellHarnessOptions harness;
-    harness.deadline_s = options.deadline_s;
-    harness.max_retries = options.max_retries;
-    harness.cancel = options.cancel;
-
     ThreadPool pool(jobs);
-    report.completed = runHarnessedCells(
-        pool, report.cells,
-        [&cells](std::size_t index, int /*attempt*/,
-                 const CancellationToken& token) {
+    return runJournaledSweep<ElasticResult>(
+        pool, elasticCellKeys(cells),
+        [&cells]() { return elasticSweepFingerprint(cells); }, options,
+        "runElasticSweepReport",
+        [&cells](std::size_t index, const CancellationToken& token) {
             const ElasticCell& cell = cells[index];
             ElasticConfig elastic = cell.elastic;
             elastic.cancel = &token;
@@ -239,27 +180,7 @@ runElasticSweepReport(const std::vector<ElasticCell>& cells,
                                         makePolicy(cell.kind, cell.policy),
                                         cell.controller, elastic);
         },
-        [&writer](std::size_t /*index*/,
-                  const CellOutcome<ElasticResult>& outcome) {
-            if (writer)
-                writer->append(encodeElasticCheckpointPayload(
-                    outcome.key, outcome.result));
-        },
-        harness);
-
-    if (options.strict) {
-        for (const CellOutcome<ElasticResult>& cell : report.cells) {
-            if (cell.ok())
-                continue;
-            if (cell.exception)
-                std::rethrow_exception(cell.exception);
-            throw std::runtime_error("runElasticSweepReport: cell " +
-                                     cell.key + " " +
-                                     cellStatusName(cell.status) + ": " +
-                                     cell.error);
-        }
-    }
-    return report;
+        encodeElasticCheckpointPayload, decodeElasticCheckpointPayload);
 }
 
 }  // namespace faascache

@@ -17,8 +17,7 @@
 
 #include "core/policy_factory.h"
 #include "provisioning/elastic_simulation.h"
-#include "sim/sweep_runner.h"
-#include "util/cell_harness.h"
+#include "util/sweep_journal.h"
 
 namespace faascache {
 
@@ -72,40 +71,19 @@ bool decodeElasticCheckpointPayload(const std::string& payload,
                                     ElasticResult* result);
 /** @} */
 
-/** Everything a harnessed elastic sweep produced. */
-struct ElasticSweepReport
-{
-    /** Per-cell outcomes, indexed like the input grid. */
-    std::vector<CellOutcome<ElasticResult>> cells;
-
-    /** False when external cancellation stopped the sweep early. */
-    bool completed = true;
-
-    /** Cells restored from the checkpoint instead of re-run. */
-    std::size_t restored = 0;
-
-    /** The resumed checkpoint had a torn tail (truncated, re-run). */
-    bool torn_tail = false;
-
-    std::size_t countWithStatus(CellStatus status) const;
-    bool allOk() const;
-
-    /** results()[i] is cells[i].result. @pre allOk(). */
-    std::vector<ElasticResult> results() const;
-};
-
 /**
  * Elastic flavour of runSweepReport(): fan independent
- * runElasticSimulation() cells across a worker pool under the
- * crash-safety harness. Reuses SweepOptions (sim/sweep_runner.h) for
- * the deadline/retry/checkpoint/cancellation knobs.
+ * runElasticSimulation() cells across a worker pool through the one
+ * sweep driver (util/sweep_journal.h), with the same
+ * deadline/retry/checkpoint/cancellation contract as every other
+ * result kind.
  *
  * @throws std::invalid_argument for a malformed cell (null trace),
  *         naming the offending cell index.
  * @throws std::runtime_error when options.resume is set and the
  *         checkpoint cannot be read or belongs to a different grid.
  */
-ElasticSweepReport runElasticSweepReport(
+SweepReport<ElasticResult> runElasticSweepReport(
     const std::vector<ElasticCell>& cells, std::size_t jobs = 0,
     const SweepOptions& options = {});
 

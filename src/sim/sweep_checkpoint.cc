@@ -83,71 +83,4 @@ decodeCheckpointPayload(const std::string& payload, std::string* key,
     return true;
 }
 
-SweepCheckpointLoad
-loadSweepCheckpoint(const std::string& path)
-{
-    const CheckpointJournalLoad journal = loadCheckpointJournal(path);
-
-    SweepCheckpointLoad load;
-    load.fingerprint = journal.fingerprint;
-    load.valid_bytes = journal.valid_bytes;
-    load.torn_tail = journal.torn_tail;
-
-    // A checksum-valid record that is not a SimResult payload ends the
-    // valid prefix, exactly as a structurally torn record would.
-    std::size_t prefix = journal.header_bytes;
-    for (const CheckpointJournalRecord& record : journal.records) {
-        SweepCheckpointRecord decoded;
-        if (!decodeCheckpointPayload(record.payload, &decoded.key,
-                                     &decoded.result)) {
-            load.valid_bytes = prefix;
-            load.torn_tail = true;
-            return load;
-        }
-        prefix = record.end_offset;
-        load.records.push_back(std::move(decoded));
-    }
-    return load;
-}
-
-SweepCheckpointWriter::SweepCheckpointWriter(CheckpointJournalWriter writer)
-    : writer_(std::make_unique<CheckpointJournalWriter>(std::move(writer)))
-{
-}
-
-SweepCheckpointWriter::SweepCheckpointWriter(
-    SweepCheckpointWriter&&) noexcept = default;
-SweepCheckpointWriter&
-SweepCheckpointWriter::operator=(SweepCheckpointWriter&&) noexcept = default;
-SweepCheckpointWriter::~SweepCheckpointWriter() = default;
-
-SweepCheckpointWriter
-SweepCheckpointWriter::beginFresh(const std::string& path,
-                                  std::uint64_t fingerprint)
-{
-    return SweepCheckpointWriter(
-        CheckpointJournalWriter::beginFresh(path, fingerprint));
-}
-
-SweepCheckpointWriter
-SweepCheckpointWriter::continueAt(const std::string& path,
-                                  std::size_t valid_bytes)
-{
-    return SweepCheckpointWriter(
-        CheckpointJournalWriter::continueAt(path, valid_bytes));
-}
-
-void
-SweepCheckpointWriter::append(const std::string& key,
-                              const SimResult& result)
-{
-    writer_->append(encodeCheckpointPayload(key, result));
-}
-
-const std::string&
-SweepCheckpointWriter::path() const
-{
-    return writer_->path();
-}
-
 }  // namespace faascache

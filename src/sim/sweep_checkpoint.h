@@ -1,12 +1,13 @@
 /**
  * @file
- * SimResult flavour of the checkpoint journal (checkpoint/resume for
- * trace-driven sweeps).
+ * SimResult payload codec of the checkpoint journal (checkpoint/resume
+ * for trace-driven sweeps).
  *
  * The journal mechanics — header/fingerprint validation, checksummed
  * records, torn-tail truncation, record-at-a-time flushing — live in
- * util/checkpoint_journal.h and are shared with the platform and
- * elastic flavours; this file contributes the SimResult payload codec:
+ * util/checkpoint_journal.h, and the open/restore/append wiring in
+ * util/sweep_journal.h; both are shared with every result kind. This
+ * file contributes the SimResult payload codec:
  * a full-fidelity text encoding of the cell's stable key plus its
  * SimResult, integers in decimal and doubles in C hexfloat (`%a`), so
  * a restored result is field-for-field — bit-for-bit for doubles —
@@ -20,84 +21,15 @@
 #ifndef FAASCACHE_SIM_SWEEP_CHECKPOINT_H_
 #define FAASCACHE_SIM_SWEEP_CHECKPOINT_H_
 
-#include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/sim_result.h"
 #include "util/checkpoint_journal.h"
 
 namespace faascache {
 
-/** One journaled cell. */
-struct SweepCheckpointRecord
-{
-    std::string key;
-    SimResult result;
-};
-
-/** What loadSweepCheckpoint() recovered from a journal file. */
-struct SweepCheckpointLoad
-{
-    /** Grid fingerprint the journal was written for. */
-    std::uint64_t fingerprint = 0;
-
-    /** Validated records, file order (duplicates not yet collapsed). */
-    std::vector<SweepCheckpointRecord> records;
-
-    /** Byte length of the valid prefix (header + intact records). */
-    std::size_t valid_bytes = 0;
-
-    /** Data past the valid prefix existed (torn tail — a record cut by
-     *  a crash mid-write) and was discarded. */
-    bool torn_tail = false;
-};
-
 /**
- * Read and validate a checkpoint journal.
- * @throws std::runtime_error when the file cannot be read or its
- *         header is not a faascache sweep checkpoint.
- */
-SweepCheckpointLoad loadSweepCheckpoint(const std::string& path);
-
-/** Appends completed-cell records to a journal file. Thread-safe. */
-class SweepCheckpointWriter
-{
-  public:
-    /**
-     * Start a fresh journal at `path` (truncating any previous file)
-     * with the sweep's grid fingerprint in the header.
-     * @throws std::runtime_error when the file cannot be created.
-     */
-    static SweepCheckpointWriter beginFresh(const std::string& path,
-                                            std::uint64_t fingerprint);
-
-    /**
-     * Reopen an existing journal for appending after a resume:
-     * truncates the file to `valid_bytes` (discarding any torn tail)
-     * and appends after it.
-     * @throws std::runtime_error when the file cannot be opened.
-     */
-    static SweepCheckpointWriter continueAt(const std::string& path,
-                                            std::size_t valid_bytes);
-
-    SweepCheckpointWriter(SweepCheckpointWriter&&) noexcept;
-    SweepCheckpointWriter& operator=(SweepCheckpointWriter&&) noexcept;
-    ~SweepCheckpointWriter();
-
-    /** Append one completed cell and flush it to the OS. Thread-safe. */
-    void append(const std::string& key, const SimResult& result);
-
-    const std::string& path() const;
-
-  private:
-    explicit SweepCheckpointWriter(CheckpointJournalWriter writer);
-    std::unique_ptr<CheckpointJournalWriter> writer_;
-};
-
-/**
- * @name Record codec (exposed for tests)
+ * @name Record codec
  * The payload is `<key> <policy> <fields...>` with keys/names
  * percent-escaped and doubles in hexfloat; see the file comment.
  * @{

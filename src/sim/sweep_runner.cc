@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "sim/sweep_checkpoint.h"
@@ -161,25 +160,9 @@ sweepCellKeys(const std::vector<SweepCell>& cells)
     validateCells(cells);
     std::vector<std::string> keys;
     keys.reserve(cells.size());
-    std::unordered_set<std::string> used;
-    for (const SweepCell& cell : cells) {
-        std::string key =
-            cell.key.empty() ? defaultCellKey(cell) : cell.key;
-        if (!used.insert(key).second) {
-            // Later duplicates get "#2", "#3", ... so every cell has a
-            // distinct checkpoint identity.
-            for (int n = 2;; ++n) {
-                std::string candidate =
-                    key + "#" + std::to_string(n);
-                if (used.insert(candidate).second) {
-                    key = std::move(candidate);
-                    break;
-                }
-            }
-        }
-        keys.push_back(std::move(key));
-    }
-    return keys;
+    for (const SweepCell& cell : cells)
+        keys.push_back(cell.key.empty() ? defaultCellKey(cell) : cell.key);
+    return dedupeSweepKeys(std::move(keys));
 }
 
 std::uint64_t
@@ -229,31 +212,6 @@ sweepGridFingerprint(const std::vector<SweepCell>& cells)
     return fnv1a64(out.str());
 }
 
-std::size_t
-SweepReport::countWithStatus(CellStatus status) const
-{
-    std::size_t count = 0;
-    for (const CellOutcome<SimResult>& cell : cells)
-        count += cell.status == status ? 1 : 0;
-    return count;
-}
-
-bool
-SweepReport::allOk() const
-{
-    return countWithStatus(CellStatus::Ok) == cells.size();
-}
-
-std::vector<SimResult>
-SweepReport::results() const
-{
-    std::vector<SimResult> out;
-    out.reserve(cells.size());
-    for (const CellOutcome<SimResult>& cell : cells)
-        out.push_back(cell.result);
-    return out;
-}
-
 struct SweepRunner::Impl
 {
     explicit Impl(std::size_t jobs) : pool(jobs) {}
@@ -282,82 +240,15 @@ SweepRunner::run(const std::vector<SweepCell>& cells)
     return runReport(cells, options).results();
 }
 
-SweepReport
+SweepReport<SimResult>
 SweepRunner::runReport(const std::vector<SweepCell>& cells,
                        const SweepOptions& options)
 {
-    validateCells(cells);
-    if (options.resume && options.checkpoint_path.empty())
-        throw std::invalid_argument(
-            "SweepRunner: resume requested without a checkpoint path");
-
-    const std::vector<std::string> keys = sweepCellKeys(cells);
-
-    SweepReport report;
-    report.cells.resize(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        report.cells[i].key = keys[i];
-
-    const bool journaling = !options.checkpoint_path.empty();
-    std::uint64_t fingerprint = 0;
-    if (journaling)
-        fingerprint = sweepGridFingerprint(cells);
-
-    // Restore journaled cells before anything runs.
-    std::unique_ptr<SweepCheckpointWriter> writer;
-    if (options.resume) {
-        SweepCheckpointLoad load =
-            loadSweepCheckpoint(options.checkpoint_path);
-        if (load.fingerprint != fingerprint) {
-            char want[24], got[24];
-            std::snprintf(want, sizeof want, "%016" PRIx64, fingerprint);
-            std::snprintf(got, sizeof got, "%016" PRIx64,
-                          load.fingerprint);
-            throw std::runtime_error(
-                "SweepRunner: checkpoint " + options.checkpoint_path +
-                " belongs to a different sweep grid (fingerprint " +
-                got + ", this grid is " + want +
-                "); refusing to resume");
-        }
-        if (load.torn_tail) {
-            report.torn_tail = true;
-            std::fprintf(stderr,
-                         "sweep: checkpoint %s has a torn tail (record "
-                         "cut mid-write); truncating to %zu valid bytes "
-                         "and re-running the affected cell\n",
-                         options.checkpoint_path.c_str(),
-                         load.valid_bytes);
-        }
-        std::unordered_map<std::string, const SimResult*> restored;
-        for (const SweepCheckpointRecord& record : load.records)
-            restored[record.key] = &record.result;  // last record wins
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const auto it = restored.find(keys[i]);
-            if (it == restored.end())
-                continue;
-            report.cells[i].status = CellStatus::Ok;
-            report.cells[i].result = *it->second;
-            report.cells[i].restored = true;
-            ++report.restored;
-        }
-        writer = std::make_unique<SweepCheckpointWriter>(
-            SweepCheckpointWriter::continueAt(options.checkpoint_path,
-                                              load.valid_bytes));
-    } else if (journaling) {
-        writer = std::make_unique<SweepCheckpointWriter>(
-            SweepCheckpointWriter::beginFresh(options.checkpoint_path,
-                                              fingerprint));
-    }
-
-    CellHarnessOptions harness;
-    harness.deadline_s = options.deadline_s;
-    harness.max_retries = options.max_retries;
-    harness.cancel = options.cancel;
-
-    report.completed = runHarnessedCells(
-        impl_->pool, report.cells,
-        [&cells](std::size_t index, int /*attempt*/,
-                 const CancellationToken& token) {
+    return runJournaledSweep<SimResult>(
+        impl_->pool, sweepCellKeys(cells),
+        [&cells]() { return sweepGridFingerprint(cells); }, options,
+        "SweepRunner",
+        [&cells](std::size_t index, const CancellationToken& token) {
             const SweepCell& cell = cells[index];
             SimulatorConfig config = cell.sim;
             config.cancel = &token;
@@ -369,25 +260,7 @@ SweepRunner::runReport(const std::vector<SweepCell>& cells,
             }
             return simulateTrace(*cell.trace, cell.make_policy(), config);
         },
-        [&writer](std::size_t /*index*/,
-                  const CellOutcome<SimResult>& outcome) {
-            if (writer)
-                writer->append(outcome.key, outcome.result);
-        },
-        harness);
-
-    if (options.strict) {
-        for (const CellOutcome<SimResult>& cell : report.cells) {
-            if (cell.ok())
-                continue;
-            if (cell.exception)
-                std::rethrow_exception(cell.exception);
-            throw std::runtime_error("SweepRunner: cell " + cell.key +
-                                     " " + cellStatusName(cell.status) +
-                                     ": " + cell.error);
-        }
-    }
-    return report;
+        encodeCheckpointPayload, decodeCheckpointPayload);
 }
 
 std::vector<SimResult>
@@ -397,7 +270,7 @@ runSweep(const std::vector<SweepCell>& cells, std::size_t jobs)
     return runner.run(cells);
 }
 
-SweepReport
+SweepReport<SimResult>
 runSweepReport(const std::vector<SweepCell>& cells, std::size_t jobs,
                const SweepOptions& options)
 {

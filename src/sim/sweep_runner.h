@@ -27,11 +27,10 @@
  *    attempt's wall-clock time; a monitor thread cancels stragglers
  *    through the simulator's cooperative CancellationToken.
  *  - **Bounded retry** — failed/timed-out cells are re-run up to
- *    `max_retries` times; each attempt derives a fresh seed from the
- *    cell's own rng_seed (deriveCellSeed(cell.rng_seed, attempt)), so
- *    the attempt stream is deterministic and cell-local.
+ *    `max_retries` times; every attempt replays the same cell.
  *  - **Checkpoint/resume** — with a checkpoint_path, every completed
- *    cell is journaled (sim/sweep_checkpoint.h) as it finishes; a
+ *    cell is journaled (SimResult codec in sim/sweep_checkpoint.h,
+ *    driver in util/sweep_journal.h) as it finishes; a
  *    resumed sweep restores journaled cells, validates the grid
  *    fingerprint, and re-runs only what is missing, producing output
  *    byte-identical to an uninterrupted run.
@@ -54,8 +53,7 @@
 #include "sim/simulator.h"
 #include "trace/invocation_source.h"
 #include "trace/trace.h"
-#include "util/cancellation.h"
-#include "util/cell_harness.h"
+#include "util/sweep_journal.h"
 
 namespace faascache {
 
@@ -167,59 +165,6 @@ std::uint64_t traceFingerprint(const Trace& trace);
  */
 std::uint64_t sourceFingerprint(InvocationSource& source);
 
-/** Crash-safety knobs for SweepRunner::runReport(). */
-struct SweepOptions
-{
-    /** Per-attempt wall-clock deadline, seconds; 0 disables it. */
-    double deadline_s = 0.0;
-
-    /** Extra attempts after a failed or timed-out first attempt. */
-    int max_retries = 0;
-
-    /**
-     * Rethrow the first (submission-order) cell failure after the sweep
-     * settles, like the legacy run() API, instead of reporting it.
-     */
-    bool strict = false;
-
-    /** Journal completed cells here; empty disables checkpointing. */
-    std::string checkpoint_path;
-
-    /**
-     * Restore completed cells from checkpoint_path before running.
-     * The file must exist and carry this grid's fingerprint.
-     */
-    bool resume = false;
-
-    /** External cancellation (non-owning; may be null). */
-    const CancellationToken* cancel = nullptr;
-};
-
-/** Everything a harnessed sweep produced. */
-struct SweepReport
-{
-    /** Per-cell outcomes, indexed like the input grid. */
-    std::vector<CellOutcome<SimResult>> cells;
-
-    /** False when external cancellation stopped the sweep early. */
-    bool completed = true;
-
-    /** Cells restored from the checkpoint instead of re-simulated. */
-    std::size_t restored = 0;
-
-    /** The resumed checkpoint had a torn tail (truncated, re-run). */
-    bool torn_tail = false;
-
-    std::size_t countWithStatus(CellStatus status) const;
-    bool allOk() const;
-
-    /**
-     * results()[i] is cells[i].result; usable as a drop-in for the
-     * legacy run() return value. @pre allOk().
-     */
-    std::vector<SimResult> results() const;
-};
-
 /** Fans sweep cells across a worker pool; results in submission order. */
 class SweepRunner
 {
@@ -258,8 +203,8 @@ class SweepRunner
      * @throws std::runtime_error when options.resume is set and the
      *         checkpoint cannot be read or belongs to a different grid.
      */
-    SweepReport runReport(const std::vector<SweepCell>& cells,
-                          const SweepOptions& options = {});
+    SweepReport<SimResult> runReport(const std::vector<SweepCell>& cells,
+                                     const SweepOptions& options = {});
 
   private:
     struct Impl;
@@ -271,9 +216,9 @@ std::vector<SimResult> runSweep(const std::vector<SweepCell>& cells,
                                 std::size_t jobs = 0);
 
 /** One-shot convenience for the harnessed flavour. */
-SweepReport runSweepReport(const std::vector<SweepCell>& cells,
-                           std::size_t jobs = 0,
-                           const SweepOptions& options = {});
+SweepReport<SimResult> runSweepReport(const std::vector<SweepCell>& cells,
+                                      std::size_t jobs = 0,
+                                      const SweepOptions& options = {});
 
 }  // namespace faascache
 

@@ -5,9 +5,8 @@
  * PR 2's sweep engine fans hundreds of (trace, policy, memory) cells
  * across a thread pool but lets one throwing cell abort the whole
  * sweep, and one wedged straggler block it forever. This harness is the
- * robustness layer both sweep flavours (SimResult sweeps in
- * sim/sweep_runner and PlatformResult sweeps in platform/experiment)
- * share:
+ * robustness layer under the one sweep driver, runJournaledSweep()
+ * (util/sweep_journal.h), which every result kind runs through:
  *
  *  - **Failure isolation**: every cell resolves to a CellOutcome
  *    (ok | failed | timed_out | skipped) with captured error text;
@@ -17,8 +16,9 @@
  *    per-attempt CancellationToken (the cell's step loop cooperates
  *    via util/cancellation checkpoints).
  *  - **Bounded retry**: failed or timed-out attempts are re-run up to
- *    `max_retries` times; the runner derives a fresh attempt seed from
- *    the cell's own seed, so retries stay deterministic per attempt.
+ *    `max_retries` times. Every attempt replays the same cell, so a
+ *    retry that completes produces the same result a first attempt
+ *    would have.
  *  - **External cancellation**: a caller-owned token (typically bound
  *    to SIGINT/SIGTERM) stops the sweep — running cells are cancelled,
  *    pending ones are marked skipped, completed ones keep their
@@ -91,14 +91,15 @@ struct CellOutcome
     /** Result was restored from a checkpoint, not re-simulated. */
     bool restored = false;
 
-    /** First attempt's exception, for strict-mode rethrow. */
+    /** First failed attempt's exception, for strict-mode rethrow;
+     *  `error` holds its message when status == Failed. */
     std::exception_ptr exception;
 
     bool ok() const { return status == CellStatus::Ok; }
 };
 
-/** Harness knobs shared by both sweep flavours. */
-struct CellHarnessOptions
+/** Crash-safety knobs of a sweep, shared by every result kind. */
+struct SweepOptions
 {
     /** Per-attempt wall-clock deadline, seconds; 0 disables the
      *  watchdog. */
@@ -106,6 +107,21 @@ struct CellHarnessOptions
 
     /** Extra attempts after a failed or timed-out first attempt. */
     int max_retries = 0;
+
+    /**
+     * Rethrow the first (submission-order) cell failure after the sweep
+     * settles instead of reporting it.
+     */
+    bool strict = false;
+
+    /** Journal completed cells here; empty disables checkpointing. */
+    std::string checkpoint_path;
+
+    /**
+     * Restore completed cells from checkpoint_path before running.
+     * The file must exist and carry this grid's fingerprint.
+     */
+    bool resume = false;
 
     /**
      * Caller-owned cancellation (non-owning; may be null). Once
@@ -119,10 +135,10 @@ struct CellHarnessOptions
     {
         if (deadline_s < 0.0)
             throw std::invalid_argument(
-                "CellHarnessOptions: deadline_s must be >= 0");
+                "SweepOptions: deadline_s must be >= 0");
         if (max_retries < 0)
             throw std::invalid_argument(
-                "CellHarnessOptions: max_retries must be >= 0");
+                "SweepOptions: max_retries must be >= 0");
     }
 };
 
@@ -153,11 +169,14 @@ struct WatchBoard
  * Run cells [0, outcomes.size()) on `pool`, filling `outcomes`.
  *
  * Cells whose outcome is pre-marked `restored` (checkpoint hits) are
- * not re-run. `run_cell(index, attempt, token)` produces the cell's
- * Result and must poll `token` at its step checkpoints; `on_ok(index,
+ * not re-run. `run_cell(index, token)` produces the cell's Result and
+ * must poll `token` at its step checkpoints; `on_ok(index,
  * outcome)` is invoked — serialized under an internal mutex, in
  * completion order — for every *fresh* Ok outcome, which is where the
  * checkpoint journal appends.
+ *
+ * Only `deadline_s`, `max_retries` and `cancel` of `options` are read
+ * here; the journal knobs belong to runJournaledSweep().
  *
  * Blocks until every non-restored cell resolved. Returns true if the
  * sweep ran to completion, false if it was stopped by external
@@ -168,7 +187,7 @@ bool
 runHarnessedCells(ThreadPool& pool,
                   std::vector<CellOutcome<Result>>& outcomes,
                   RunCell run_cell, OnOk on_ok,
-                  const CellHarnessOptions& options)
+                  const SweepOptions& options)
 {
     using harness_detail::WatchBoard;
     namespace chrono = std::chrono;
@@ -225,6 +244,17 @@ runHarnessedCells(ThreadPool& pool,
         futures.push_back(pool.submit([index, board, &outcomes, &run_cell,
                                        &on_ok, &on_ok_mutex, &options]() {
             CellOutcome<Result>& outcome = outcomes[index];
+            // A Failed cell reports the message of the exception strict
+            // mode rethrows: the first throw, not the last.
+            std::string first_failure;
+            const auto fail = [&outcome, &first_failure](const char* what) {
+                if (!outcome.exception) {
+                    outcome.exception = std::current_exception();
+                    first_failure = what;
+                }
+                outcome.status = CellStatus::Failed;
+                outcome.error = first_failure;
+            };
             const int attempts_allowed = options.max_retries + 1;
             for (int attempt = 0; attempt < attempts_allowed; ++attempt) {
                 if (board->shutdown.load(std::memory_order_relaxed)) {
@@ -245,7 +275,7 @@ runHarnessedCells(ThreadPool& pool,
                 }
                 ++outcome.attempts;
                 try {
-                    outcome.result = run_cell(index, attempt, *token);
+                    outcome.result = run_cell(index, *token);
                     outcome.status = CellStatus::Ok;
                     outcome.error.clear();
                 } catch (const CancelledError& e) {
@@ -261,15 +291,9 @@ runHarnessedCells(ThreadPool& pool,
                             " s deadline";
                     }
                 } catch (const std::exception& e) {
-                    outcome.status = CellStatus::Failed;
-                    outcome.error = e.what();
-                    if (!outcome.exception)
-                        outcome.exception = std::current_exception();
+                    fail(e.what());
                 } catch (...) {
-                    outcome.status = CellStatus::Failed;
-                    outcome.error = "unknown exception";
-                    if (!outcome.exception)
-                        outcome.exception = std::current_exception();
+                    fail("unknown exception");
                 }
                 {
                     std::lock_guard<std::mutex> lock(board->mutex);

@@ -1,15 +1,17 @@
 /**
  * @file
- * Shared resume/journal wiring for harnessed sweeps.
+ * The one sweep driver: every result kind (SimResult, PlatformResult,
+ * ClusterResult, ElasticResult) runs its grid through
+ * runJournaledSweep().
  *
- * Every sweep flavour (platform, cluster, elastic) opens its checkpoint
- * journal the same way: validate the grid fingerprint, decode the
- * journaled records with the flavour's typed codec, pre-mark restored
- * cells Ok so the harness skips them, and reopen the journal for
- * appending at the end of the valid prefix. openSweepJournal() is that
- * wiring, templated on the result type and payload decoder. (The sim
- * sweep predates this helper and keeps its own equivalent wiring in
- * sim/sweep_runner.cc.)
+ * A sweep flavour contributes only what actually differs between
+ * result kinds — the cell type and how a cell runs, the key
+ * derivation, the grid fingerprint, and the journal payload codec.
+ * The driver owns the rest of the pipeline: the resume-without-path
+ * check, fingerprinting the grid only when journaling, opening or
+ * restoring the checkpoint journal (util/checkpoint_journal.h), the
+ * failure-isolating harness (util/cell_harness.h), and the strict-mode
+ * rethrow in submission order.
  */
 #ifndef FAASCACHE_UTIL_SWEEP_JOURNAL_H_
 #define FAASCACHE_UTIL_SWEEP_JOURNAL_H_
@@ -21,70 +23,115 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "util/cell_harness.h"
 #include "util/checkpoint_journal.h"
+#include "util/thread_pool.h"
 
 namespace faascache {
 
+/** Everything a harnessed sweep produced. */
+template <typename Result>
+struct SweepReport
+{
+    /** Per-cell outcomes, indexed like the input grid. */
+    std::vector<CellOutcome<Result>> cells;
+
+    /** False when external cancellation stopped the sweep early. */
+    bool completed = true;
+
+    /** Cells restored from the checkpoint instead of re-run. */
+    std::size_t restored = 0;
+
+    /** The resumed checkpoint had a torn tail (truncated, re-run). */
+    bool torn_tail = false;
+
+    std::size_t countWithStatus(CellStatus status) const
+    {
+        std::size_t count = 0;
+        for (const CellOutcome<Result>& cell : cells)
+            count += cell.status == status ? 1 : 0;
+        return count;
+    }
+
+    bool allOk() const
+    {
+        return countWithStatus(CellStatus::Ok) == cells.size();
+    }
+
+    /** results()[i] is cells[i].result. @pre allOk(). */
+    std::vector<Result> results() const
+    {
+        std::vector<Result> out;
+        out.reserve(cells.size());
+        for (const CellOutcome<Result>& cell : cells)
+            out.push_back(cell.result);
+        return out;
+    }
+};
+
 /**
- * Open the checkpoint journal for a harnessed sweep, restoring any
- * journaled cells into `outcomes` first.
+ * Make derived cell keys unique: later duplicates get "#2", "#3", ...
+ * in grid order, so every cell has a distinct checkpoint identity.
+ */
+inline std::vector<std::string>
+dedupeSweepKeys(std::vector<std::string> keys)
+{
+    std::unordered_set<std::string> used;
+    for (std::string& key : keys) {
+        if (used.insert(key).second)
+            continue;
+        for (int n = 2;; ++n) {
+            std::string candidate = key + "#" + std::to_string(n);
+            if (used.insert(candidate).second) {
+                key = std::move(candidate);
+                break;
+            }
+        }
+    }
+    return keys;
+}
+
+/**
+ * Open the checkpoint journal at options.checkpoint_path, restoring
+ * journaled cells into `report` first when options.resume is set.
  *
- * @param checkpoint_path Journal file; empty disables checkpointing
- *                        (returns null).
- * @param resume          Restore from an existing journal instead of
- *                        starting fresh.
- * @param who             Caller name for error/warning messages.
- * @param fingerprint     This grid's fingerprint; a resumed journal
- *                        must carry the same one.
- * @param keys            Effective per-cell keys, indexed like
- *                        `outcomes`.
- * @param outcomes        Pre-sized outcome slots; restored cells are
- *                        marked Ok with `restored` set.
- * @param restored_count  Incremented once per restored cell.
- * @param torn_tail       Set when the journal's tail was truncated.
- * @param decode          Typed payload decoder:
- *                        bool(const std::string&, std::string*, Result*).
- *                        A checksum-valid record that fails to decode
- *                        ends the valid prefix exactly like a torn
- *                        tail.
+ * @param who         Caller name for error/warning messages.
+ * @param fingerprint This grid's fingerprint; a resumed journal must
+ *                    carry the same one.
+ * @param report      Outcome slots keyed like the grid; restored cells
+ *                    are marked Ok with `restored` set, and
+ *                    `restored`/`torn_tail` are updated.
+ * @param decode      Typed payload decoder:
+ *                    bool(const std::string&, std::string*, Result*).
+ *                    A checksum-valid record that fails to decode
+ *                    ends the valid prefix exactly like a torn tail.
  *
- * @throws std::invalid_argument when resume is requested without a
- *         checkpoint path.
+ * @pre options.checkpoint_path is not empty.
  * @throws std::runtime_error when the journal cannot be read or
  *         belongs to a different grid.
  */
 template <typename Result, typename DecodeFn>
 std::unique_ptr<CheckpointJournalWriter>
-openSweepJournal(const std::string& checkpoint_path, bool resume,
-                 const char* who, std::uint64_t fingerprint,
-                 const std::vector<std::string>& keys,
-                 std::vector<CellOutcome<Result>>& outcomes,
-                 std::size_t* restored_count, bool* torn_tail,
+openSweepJournal(const SweepOptions& options, const char* who,
+                 std::uint64_t fingerprint, SweepReport<Result>& report,
                  DecodeFn decode)
 {
-    if (checkpoint_path.empty()) {
-        if (resume)
-            throw std::invalid_argument(
-                std::string(who) +
-                ": resume requested without a checkpoint path");
-        return nullptr;
-    }
-    if (!resume)
+    const std::string& path = options.checkpoint_path;
+    if (!options.resume)
         return std::make_unique<CheckpointJournalWriter>(
-            CheckpointJournalWriter::beginFresh(checkpoint_path,
-                                                fingerprint));
+            CheckpointJournalWriter::beginFresh(path, fingerprint));
 
-    CheckpointJournalLoad load = loadCheckpointJournal(checkpoint_path);
+    CheckpointJournalLoad load = loadCheckpointJournal(path);
     if (load.fingerprint != fingerprint) {
         char want[24], got[24];
         std::snprintf(want, sizeof want, "%016" PRIx64, fingerprint);
         std::snprintf(got, sizeof got, "%016" PRIx64, load.fingerprint);
         throw std::runtime_error(
-            std::string(who) + ": checkpoint " + checkpoint_path +
+            std::string(who) + ": checkpoint " + path +
             " belongs to a different sweep grid (fingerprint " + got +
             ", this grid is " + want + "); refusing to resume");
     }
@@ -105,24 +152,96 @@ openSweepJournal(const std::string& checkpoint_path, bool resume,
     const std::size_t valid_bytes =
         prefix < load.valid_bytes ? prefix : load.valid_bytes;
     if (torn) {
-        *torn_tail = true;
+        report.torn_tail = true;
         std::fprintf(stderr,
                      "%s: checkpoint %s has a torn tail (record cut "
                      "mid-write); truncating to %zu valid bytes and "
                      "re-running the affected cell\n",
-                     who, checkpoint_path.c_str(), valid_bytes);
+                     who, path.c_str(), valid_bytes);
     }
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        auto it = restored.find(keys[i]);
+    for (CellOutcome<Result>& outcome : report.cells) {
+        auto it = restored.find(outcome.key);
         if (it == restored.end())
             continue;
-        outcomes[i].status = CellStatus::Ok;
-        outcomes[i].result = it->second;
-        outcomes[i].restored = true;
-        ++*restored_count;
+        outcome.status = CellStatus::Ok;
+        outcome.result = it->second;
+        outcome.restored = true;
+        ++report.restored;
     }
     return std::make_unique<CheckpointJournalWriter>(
-        CheckpointJournalWriter::continueAt(checkpoint_path, valid_bytes));
+        CheckpointJournalWriter::continueAt(path, valid_bytes));
+}
+
+/**
+ * Run a sweep of keys.size() cells on `pool` under the crash-safety
+ * harness, journaling every fresh Ok cell when options.checkpoint_path
+ * is set and restoring journaled cells first when options.resume is.
+ *
+ * @param keys        Effective (unique) per-cell keys, grid order.
+ * @param fingerprint Thunk returning the grid fingerprint; called only
+ *                    when journaling.
+ * @param who         Caller name for error/warning messages.
+ * @param run_cell    Result(std::size_t index, const CancellationToken&):
+ *                    runs cell `index`, polling the token at its step
+ *                    checkpoints.
+ * @param encode      std::string(const std::string& key, const Result&):
+ *                    the journal payload codec.
+ * @param decode      Its inverse (see openSweepJournal()).
+ *
+ * @throws std::invalid_argument when options.resume is set without a
+ *         checkpoint path, or on negative harness knobs.
+ * @throws std::runtime_error when the journal cannot be read or
+ *         belongs to a different grid.
+ * @throws the first (submission-order) cell failure when
+ *         options.strict is set; a failed cell rethrows its own
+ *         exception.
+ */
+template <typename Result, typename FingerprintFn, typename RunCell,
+          typename EncodeFn, typename DecodeFn>
+SweepReport<Result>
+runJournaledSweep(ThreadPool& pool, const std::vector<std::string>& keys,
+                  FingerprintFn fingerprint, const SweepOptions& options,
+                  const char* who, RunCell run_cell, EncodeFn encode,
+                  DecodeFn decode)
+{
+    const bool journaling = !options.checkpoint_path.empty();
+    if (options.resume && !journaling)
+        throw std::invalid_argument(
+            std::string(who) +
+            ": resume requested without a checkpoint path");
+
+    SweepReport<Result> report;
+    report.cells.resize(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        report.cells[i].key = keys[i];
+
+    std::unique_ptr<CheckpointJournalWriter> writer;
+    if (journaling)
+        writer =
+            openSweepJournal(options, who, fingerprint(), report, decode);
+
+    report.completed = runHarnessedCells(
+        pool, report.cells, run_cell,
+        [&writer, &encode](std::size_t /*index*/,
+                           const CellOutcome<Result>& outcome) {
+            if (writer)
+                writer->append(encode(outcome.key, outcome.result));
+        },
+        options);
+
+    if (options.strict) {
+        for (const CellOutcome<Result>& cell : report.cells) {
+            if (cell.ok())
+                continue;
+            if (cell.exception)
+                std::rethrow_exception(cell.exception);
+            throw std::runtime_error(std::string(who) + ": cell " +
+                                     cell.key + " " +
+                                     cellStatusName(cell.status) + ": " +
+                                     cell.error);
+        }
+    }
+    return report;
 }
 
 }  // namespace faascache

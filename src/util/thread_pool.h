@@ -2,8 +2,8 @@
  * @file
  * A fixed-size worker thread pool with futures-based task submission.
  *
- * The pool exists so the experiment engine (sim/sweep_runner.h) and the
- * platform benches can fan independent simulation cells across cores.
+ * The pool exists so the sweep driver (util/sweep_journal.h) can fan
+ * independent simulation cells across cores.
  * Tasks are arbitrary callables; submit() returns a std::future for the
  * callable's result. Worker threads are started once in the constructor
  * and joined on shutdown; the pool never grows or shrinks.
@@ -22,8 +22,7 @@
  * Determinism note: the pool makes no ordering promises between tasks —
  * callers that need reproducible output must make every task
  * self-contained (own its RNG stream, write only its own result slot)
- * and merge results in submission order, as parallelMap() below and the
- * SweepRunner do.
+ * and merge results in submission order, as the sweep driver does.
  */
 #ifndef FAASCACHE_UTIL_THREAD_POOL_H_
 #define FAASCACHE_UTIL_THREAD_POOL_H_
@@ -155,28 +154,6 @@ class ThreadPool
     std::optional<std::chrono::milliseconds> drain_timeout_;
     std::optional<ShutdownReport> shutdown_report_;
 };
-
-/**
- * Apply `fn` to every element of `items` on the pool and return the
- * results in input order (a deterministic parallel map). Blocks until
- * every task finished; the first exception, if any, is rethrown.
- */
-template <typename T, typename Fn>
-auto
-parallelMap(ThreadPool& pool, const std::vector<T>& items, Fn fn)
-    -> std::vector<std::invoke_result_t<Fn, const T&>>
-{
-    using Result = std::invoke_result_t<Fn, const T&>;
-    std::vector<std::future<Result>> futures;
-    futures.reserve(items.size());
-    for (const T& item : items)
-        futures.push_back(pool.submit([&fn, &item]() { return fn(item); }));
-    std::vector<Result> results;
-    results.reserve(items.size());
-    for (auto& future : futures)
-        results.push_back(future.get());
-    return results;
-}
 
 }  // namespace faascache
 

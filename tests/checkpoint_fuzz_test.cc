@@ -124,9 +124,9 @@ baseline()
         b.keys = platformCellKeys(b.cells);
 
         TempFile file("baseline");
-        PlatformSweepOptions options;
+        SweepOptions options;
         options.checkpoint_path = file.path();
-        const PlatformSweepReport report =
+        const SweepReport<PlatformResult> report =
             runPlatformSweepReport(b.cells, 1, options);
         EXPECT_TRUE(report.allOk());
         const std::vector<PlatformResult> results = report.results();
@@ -157,12 +157,12 @@ TEST(CheckpointFuzz, EveryMutationResumesIdenticallyOrRefusesNamed)
             mutateJournal(base.journal, seed, &mutation);
         file.write(corrupted);
 
-        PlatformSweepOptions options;
+        SweepOptions options;
         options.checkpoint_path = file.path();
         options.resume = true;
 
         try {
-            const PlatformSweepReport report =
+            const SweepReport<PlatformResult> report =
                 runPlatformSweepReport(base.cells, 1, options);
             // Accepted: the sweep must end byte-identical to the
             // uninterrupted run — corrupted records re-ran their cells.
@@ -251,10 +251,10 @@ TEST(JournalSemantics, DuplicateCellIdRestoresLastWrite)
             encodePlatformCheckpointPayload(key, doctored));
     }
 
-    PlatformSweepOptions options;
+    SweepOptions options;
     options.checkpoint_path = file.path();
     options.resume = true;
-    const PlatformSweepReport report =
+    const SweepReport<PlatformResult> report =
         runPlatformSweepReport(base.cells, 1, options);
     ASSERT_TRUE(report.allOk());
     EXPECT_EQ(report.restored, base.cells.size());
@@ -299,10 +299,10 @@ TEST(JournalSemantics, RecordEndingExactlyAtTornTailBoundary)
 
         // Resume over the torn journal re-runs the lost cell and ends
         // byte-identical to the uninterrupted sweep.
-        PlatformSweepOptions options;
+        SweepOptions options;
         options.checkpoint_path = file.path();
         options.resume = true;
-        const PlatformSweepReport report =
+        const SweepReport<PlatformResult> report =
             runPlatformSweepReport(base.cells, 1, options);
         ASSERT_TRUE(report.allOk());
         EXPECT_TRUE(report.torn_tail);

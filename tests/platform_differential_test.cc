@@ -424,7 +424,7 @@ mixedBackendGrid()
 }
 
 std::vector<std::string>
-sweepPayloads(const PlatformSweepReport& report)
+sweepPayloads(const SweepReport<PlatformResult>& report)
 {
     std::vector<std::string> payloads;
     for (const auto& cell : report.cells) {
@@ -437,8 +437,8 @@ sweepPayloads(const PlatformSweepReport& report)
 TEST(PlatformDifferential, SweepIsJobsInvariantAcrossBackends)
 {
     const std::vector<PlatformCell> cells = mixedBackendGrid();
-    const PlatformSweepReport serial = runPlatformSweepReport(cells, 1);
-    const PlatformSweepReport parallel =
+    const SweepReport<PlatformResult> serial = runPlatformSweepReport(cells, 1);
+    const SweepReport<PlatformResult> parallel =
         runPlatformSweepReport(cells, 4);
     ASSERT_TRUE(serial.allOk());
     ASSERT_TRUE(parallel.allOk());
@@ -476,16 +476,16 @@ TEST(PlatformDifferential, CheckpointKillResumeRoundTrips)
 {
     const std::vector<PlatformCell> cells = mixedBackendGrid();
     TempFile full("full");
-    PlatformSweepOptions options;
+    SweepOptions options;
     options.checkpoint_path = full.path();
-    const PlatformSweepReport uninterrupted =
+    const SweepReport<PlatformResult> uninterrupted =
         runPlatformSweepReport(cells, 1, options);
     ASSERT_TRUE(uninterrupted.allOk());
 
     // "Kill" after two journaled cells, then resume.
     truncateJournal(full.path(), 2);
     options.resume = true;
-    const PlatformSweepReport resumed =
+    const SweepReport<PlatformResult> resumed =
         runPlatformSweepReport(cells, 1, options);
     ASSERT_TRUE(resumed.allOk());
     EXPECT_EQ(resumed.restored, 2u);
@@ -510,15 +510,15 @@ TEST(ClusterDifferential, CheckpointKillResumeRoundTrips)
     }
 
     TempFile full("cluster");
-    PlatformSweepOptions options;
+    SweepOptions options;
     options.checkpoint_path = full.path();
-    const ClusterSweepReport uninterrupted =
+    const SweepReport<ClusterResult> uninterrupted =
         runClusterSweepReport(cells, 1, options);
     ASSERT_TRUE(uninterrupted.allOk());
 
     truncateJournal(full.path(), 1);
     options.resume = true;
-    const ClusterSweepReport resumed =
+    const SweepReport<ClusterResult> resumed =
         runClusterSweepReport(cells, 1, options);
     ASSERT_TRUE(resumed.allOk());
     EXPECT_EQ(resumed.restored, 1u);

@@ -332,15 +332,15 @@ TEST(PlatformSweepResume, RestoresEveryCellBitForBit)
     TempFile ckpt("platform_resume");
     const std::vector<PlatformCell> grid = platformGrid();
 
-    PlatformSweepOptions options;
+    SweepOptions options;
     options.checkpoint_path = ckpt.path();
-    const PlatformSweepReport first =
+    const SweepReport<PlatformResult> first =
         runPlatformSweepReport(grid, 2, options);
     ASSERT_TRUE(first.allOk());
     EXPECT_EQ(first.restored, 0u);
 
     options.resume = true;
-    const PlatformSweepReport resumed =
+    const SweepReport<PlatformResult> resumed =
         runPlatformSweepReport(grid, 2, options);
     ASSERT_TRUE(resumed.allOk());
     EXPECT_EQ(resumed.restored, grid.size());
@@ -355,7 +355,7 @@ TEST(PlatformSweepResume, RestoresEveryCellBitForBit)
 TEST(PlatformSweepResume, RefusesACheckpointFromAnotherGrid)
 {
     TempFile ckpt("platform_refuse");
-    PlatformSweepOptions options;
+    SweepOptions options;
     options.checkpoint_path = ckpt.path();
     ASSERT_TRUE(runPlatformSweepReport(platformGrid(), 2, options).allOk());
 
@@ -371,14 +371,14 @@ TEST(ClusterSweepResume, RestoresEveryCellBitForBit)
     TempFile ckpt("cluster_resume");
     const std::vector<ClusterCell> grid = clusterGrid();
 
-    PlatformSweepOptions options;
+    SweepOptions options;
     options.checkpoint_path = ckpt.path();
-    const ClusterSweepReport first =
+    const SweepReport<ClusterResult> first =
         runClusterSweepReport(grid, 2, options);
     ASSERT_TRUE(first.allOk());
 
     options.resume = true;
-    const ClusterSweepReport resumed =
+    const SweepReport<ClusterResult> resumed =
         runClusterSweepReport(grid, 2, options);
     ASSERT_TRUE(resumed.allOk());
     EXPECT_EQ(resumed.restored, grid.size());
@@ -395,9 +395,9 @@ TEST(ClusterSweepResume, PartialJournalRerunsOnlyMissingCells)
     const std::vector<ClusterCell> grid = clusterGrid();
     const std::vector<std::string> keys = clusterCellKeys(grid);
 
-    PlatformSweepOptions options;
+    SweepOptions options;
     options.checkpoint_path = ckpt.path();
-    const ClusterSweepReport first =
+    const SweepReport<ClusterResult> first =
         runClusterSweepReport(grid, 2, options);
     ASSERT_TRUE(first.allOk());
 
@@ -411,7 +411,7 @@ TEST(ClusterSweepResume, PartialJournalRerunsOnlyMissingCells)
     }
 
     options.resume = true;
-    const ClusterSweepReport resumed =
+    const SweepReport<ClusterResult> resumed =
         runClusterSweepReport(grid, 2, options);
     ASSERT_TRUE(resumed.allOk());
     EXPECT_EQ(resumed.restored, 1u);
@@ -437,9 +437,9 @@ TEST(ClusterSweepResume, JournalResumesAcrossShardCounts)
     }
     const std::vector<std::string> keys = clusterCellKeys(grid);
 
-    PlatformSweepOptions options;
+    SweepOptions options;
     options.checkpoint_path = ckpt.path();
-    const ClusterSweepReport first =
+    const SweepReport<ClusterResult> first =
         runClusterSweepReport(grid, 2, options);
     ASSERT_TRUE(first.allOk());
 
@@ -449,7 +449,7 @@ TEST(ClusterSweepResume, JournalResumesAcrossShardCounts)
     EXPECT_EQ(clusterSweepFingerprint(grid),
               clusterSweepFingerprint(wider));
     options.resume = true;
-    const ClusterSweepReport resumed =
+    const SweepReport<ClusterResult> resumed =
         runClusterSweepReport(wider, 2, options);
     ASSERT_TRUE(resumed.allOk());
     EXPECT_EQ(resumed.restored, grid.size());
@@ -489,7 +489,7 @@ TEST(ClusterSweepResume, RejectsAJournalStampedV5)
                                         grid[i].config, grid[i].policy)));
             }
         }
-        PlatformSweepOptions options;
+        SweepOptions options;
         options.checkpoint_path = ckpt.path();
         options.resume = true;
         EXPECT_THROW(runClusterSweepReport(grid, 2, options),

@@ -102,7 +102,7 @@ expectSameElasticResult(const ElasticResult& a, const ElasticResult& b)
 TEST(ElasticCheckpointCodec, RoundTripsARealRun)
 {
     const ElasticCell cell = elasticGrid()[0];
-    ElasticSweepReport report = runElasticSweepReport({cell}, 1);
+    SweepReport<ElasticResult> report = runElasticSweepReport({cell}, 1);
     ASSERT_TRUE(report.allOk());
     const ElasticResult& result = report.cells[0].result;
     ASSERT_FALSE(result.timeline.empty());
@@ -119,7 +119,7 @@ TEST(ElasticCheckpointCodec, RoundTripsARealRun)
 TEST(ElasticCheckpointCodec, RejectsTruncationAndKeyMismatch)
 {
     const ElasticCell cell = elasticGrid()[0];
-    ElasticSweepReport report = runElasticSweepReport({cell}, 1);
+    SweepReport<ElasticResult> report = runElasticSweepReport({cell}, 1);
     ASSERT_TRUE(report.allOk());
     const std::string payload = encodeElasticCheckpointPayload(
         "a", report.cells[0].result);
@@ -163,13 +163,13 @@ TEST(ElasticSweepResume, RestoresEveryCellBitForBit)
 
     SweepOptions options;
     options.checkpoint_path = ckpt.path();
-    const ElasticSweepReport first =
+    const SweepReport<ElasticResult> first =
         runElasticSweepReport(grid, 2, options);
     ASSERT_TRUE(first.allOk());
     EXPECT_EQ(first.restored, 0u);
 
     options.resume = true;
-    const ElasticSweepReport resumed =
+    const SweepReport<ElasticResult> resumed =
         runElasticSweepReport(grid, 2, options);
     ASSERT_TRUE(resumed.allOk());
     EXPECT_EQ(resumed.restored, grid.size());

@@ -8,6 +8,9 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
+
+#include "util/checkpoint_journal.h"
 
 namespace faascache {
 namespace {
@@ -139,67 +142,93 @@ TEST(CheckpointCodec, RejectsMalformedPayloads)
     EXPECT_TRUE(decodeCheckpointPayload(good, &key, &result));
 }
 
+/** A journal record decoded with the SimResult codec. */
+struct DecodedRecord
+{
+    std::string key;
+    SimResult result;
+};
+
+/** Every record of `load`, decoded; fails the test on a bad payload. */
+std::vector<DecodedRecord>
+decodeAll(const CheckpointJournalLoad& load)
+{
+    std::vector<DecodedRecord> out(load.records.size());
+    for (std::size_t i = 0; i < load.records.size(); ++i)
+        EXPECT_TRUE(decodeCheckpointPayload(load.records[i].payload,
+                                            &out[i].key, &out[i].result));
+    return out;
+}
+
+void
+append(CheckpointJournalWriter& writer, const std::string& key,
+       const SimResult& result)
+{
+    writer.append(encodeCheckpointPayload(key, result));
+}
+
 TEST(CheckpointJournal, WriterThenLoaderRoundTrips)
 {
     TempFile file("round_trip");
     const SimResult result = trickyResult();
     {
-        SweepCheckpointWriter writer = SweepCheckpointWriter::beginFresh(
+        CheckpointJournalWriter writer = CheckpointJournalWriter::beginFresh(
             file.path(), 0xdeadbeefcafef00dULL);
-        writer.append("cell-a", result);
-        writer.append("cell-b", SimResult{});
+        append(writer, "cell-a", result);
+        append(writer, "cell-b", SimResult{});
     }
-    const SweepCheckpointLoad load = loadSweepCheckpoint(file.path());
+    const CheckpointJournalLoad load = loadCheckpointJournal(file.path());
     EXPECT_EQ(load.fingerprint, 0xdeadbeefcafef00dULL);
     EXPECT_FALSE(load.torn_tail);
     EXPECT_EQ(load.valid_bytes, readAll(file.path()).size());
-    ASSERT_EQ(load.records.size(), 2u);
-    EXPECT_EQ(load.records[0].key, "cell-a");
-    EXPECT_TRUE(load.records[0].result == result);
-    EXPECT_EQ(load.records[1].key, "cell-b");
-    EXPECT_TRUE(load.records[1].result == SimResult{});
+    const std::vector<DecodedRecord> records = decodeAll(load);
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].key, "cell-a");
+    EXPECT_TRUE(records[0].result == result);
+    EXPECT_EQ(records[1].key, "cell-b");
+    EXPECT_TRUE(records[1].result == SimResult{});
 }
 
 TEST(CheckpointJournal, TornTailIsTruncatedToValidPrefix)
 {
     TempFile file("torn_tail");
     {
-        SweepCheckpointWriter writer =
-            SweepCheckpointWriter::beginFresh(file.path(), 1);
-        writer.append("done", trickyResult());
+        CheckpointJournalWriter writer =
+            CheckpointJournalWriter::beginFresh(file.path(), 1);
+        append(writer, "done", trickyResult());
     }
     const std::string intact = readAll(file.path());
     // A SIGKILL mid-append leaves an unterminated half record.
     writeAll(file.path(), intact + "cell 0123456789abcdef half-writ");
 
-    const SweepCheckpointLoad load = loadSweepCheckpoint(file.path());
+    const CheckpointJournalLoad load = loadCheckpointJournal(file.path());
     EXPECT_TRUE(load.torn_tail);
     EXPECT_EQ(load.valid_bytes, intact.size());
     ASSERT_EQ(load.records.size(), 1u);
-    EXPECT_EQ(load.records[0].key, "done");
+    EXPECT_EQ(decodeAll(load)[0].key, "done");
 
     // continueAt() truncates the tail; appending after it yields a
     // journal identical to one that never tore.
     {
-        SweepCheckpointWriter writer = SweepCheckpointWriter::continueAt(
+        CheckpointJournalWriter writer = CheckpointJournalWriter::continueAt(
             file.path(), load.valid_bytes);
-        writer.append("after", SimResult{});
+        append(writer, "after", SimResult{});
     }
-    const SweepCheckpointLoad repaired =
-        loadSweepCheckpoint(file.path());
+    const CheckpointJournalLoad repaired =
+        loadCheckpointJournal(file.path());
     EXPECT_FALSE(repaired.torn_tail);
     ASSERT_EQ(repaired.records.size(), 2u);
-    EXPECT_EQ(repaired.records[1].key, "after");
+    EXPECT_EQ(decodeAll(repaired)[1].key, "after");
 }
 
 TEST(CheckpointJournal, BadChecksumEndsTheValidPrefix)
 {
     TempFile file("bad_checksum");
     {
-        SweepCheckpointWriter writer =
-            SweepCheckpointWriter::beginFresh(file.path(), 1);
-        writer.append("first", SimResult{});
-        writer.append("second", SimResult{});
+        CheckpointJournalWriter writer =
+            CheckpointJournalWriter::beginFresh(file.path(), 1);
+        append(writer, "first", SimResult{});
+        append(writer, "second", SimResult{});
     }
     std::string bytes = readAll(file.path());
     // Corrupt one payload byte of the second record: its checksum no
@@ -209,10 +238,10 @@ TEST(CheckpointJournal, BadChecksumEndsTheValidPrefix)
     bytes[second] = 'X';
     writeAll(file.path(), bytes);
 
-    const SweepCheckpointLoad load = loadSweepCheckpoint(file.path());
+    const CheckpointJournalLoad load = loadCheckpointJournal(file.path());
     EXPECT_TRUE(load.torn_tail);
     ASSERT_EQ(load.records.size(), 1u);
-    EXPECT_EQ(load.records[0].key, "first");
+    EXPECT_EQ(decodeAll(load)[0].key, "first");
 }
 
 TEST(CheckpointJournal, DuplicateKeysKeepFileOrder)
@@ -221,37 +250,38 @@ TEST(CheckpointJournal, DuplicateKeysKeepFileOrder)
     SimResult newer;
     newer.warm_starts = 99;
     {
-        SweepCheckpointWriter writer =
-            SweepCheckpointWriter::beginFresh(file.path(), 1);
-        writer.append("cell", SimResult{});
-        writer.append("cell", newer);
+        CheckpointJournalWriter writer =
+            CheckpointJournalWriter::beginFresh(file.path(), 1);
+        append(writer, "cell", SimResult{});
+        append(writer, "cell", newer);
     }
-    // The loader reports records in file order; the runner's restore
+    // The loader reports records in file order; the driver's restore
     // pass collapses duplicates last-record-wins.
-    const SweepCheckpointLoad load = loadSweepCheckpoint(file.path());
-    ASSERT_EQ(load.records.size(), 2u);
-    EXPECT_EQ(load.records[0].key, "cell");
-    EXPECT_EQ(load.records[1].key, "cell");
-    EXPECT_EQ(load.records[1].result.warm_starts, 99);
+    const std::vector<DecodedRecord> records =
+        decodeAll(loadCheckpointJournal(file.path()));
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].key, "cell");
+    EXPECT_EQ(records[1].key, "cell");
+    EXPECT_EQ(records[1].result.warm_starts, 99);
 }
 
 TEST(CheckpointJournal, RejectsMissingFileAndForeignHeaders)
 {
     TempFile file("bad_header");
-    EXPECT_THROW(loadSweepCheckpoint(file.path()), std::runtime_error);
+    EXPECT_THROW(loadCheckpointJournal(file.path()), std::runtime_error);
 
     writeAll(file.path(), "not a checkpoint\n");
-    EXPECT_THROW(loadSweepCheckpoint(file.path()), std::runtime_error);
+    EXPECT_THROW(loadCheckpointJournal(file.path()), std::runtime_error);
 
     writeAll(file.path(), "faascache-sweep-ckpt v1 fp=nothex\n");
-    EXPECT_THROW(loadSweepCheckpoint(file.path()), std::runtime_error);
+    EXPECT_THROW(loadCheckpointJournal(file.path()), std::runtime_error);
 }
 
 TEST(CheckpointJournal, HeaderOnlyJournalIsEmptyAndIntact)
 {
     TempFile file("header_only");
-    { SweepCheckpointWriter::beginFresh(file.path(), 77); }
-    const SweepCheckpointLoad load = loadSweepCheckpoint(file.path());
+    { CheckpointJournalWriter::beginFresh(file.path(), 77); }
+    const CheckpointJournalLoad load = loadCheckpointJournal(file.path());
     EXPECT_EQ(load.fingerprint, 77u);
     EXPECT_TRUE(load.records.empty());
     EXPECT_FALSE(load.torn_tail);

@@ -6,16 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/policy_factory.h"
-#include "sim/sweep_checkpoint.h"
+#include "util/checkpoint_journal.h"
 #include "trace/function_spec.h"
 
 namespace faascache {
@@ -107,7 +109,7 @@ class SleepyPolicy : public KeepAlivePolicy
 TEST(SweepReport, AllOkGridMatchesStrictRun)
 {
     const std::vector<SweepCell> cells = smallGrid();
-    const SweepReport report = runSweepReport(cells, 2);
+    const SweepReport<SimResult> report = runSweepReport(cells, 2);
     EXPECT_TRUE(report.completed);
     EXPECT_TRUE(report.allOk());
     EXPECT_EQ(report.restored, 0u);
@@ -124,7 +126,7 @@ TEST(SweepReport, OnePoisonedCellDoesNotAbortTheSweep)
 {
     std::vector<SweepCell> cells = smallGrid();
     cells.insert(cells.begin() + 2, poisonedCell("poisoned"));
-    const SweepReport report = runSweepReport(cells, 4);
+    const SweepReport<SimResult> report = runSweepReport(cells, 4);
 
     EXPECT_TRUE(report.completed);
     EXPECT_FALSE(report.allOk());
@@ -151,10 +153,40 @@ TEST(SweepReport, FailedCellIsRetriedBoundedly)
     std::vector<SweepCell> cells = {poisonedCell("poisoned")};
     SweepOptions options;
     options.max_retries = 2;
-    const SweepReport report = runSweepReport(cells, 1, options);
+    const SweepReport<SimResult> report = runSweepReport(cells, 1, options);
     ASSERT_EQ(report.cells.size(), 1u);
     EXPECT_EQ(report.cells[0].status, CellStatus::Failed);
     EXPECT_EQ(report.cells[0].attempts, 3);  // 1 try + 2 retries
+}
+
+TEST(SweepReport, FailedCellReportsTheErrorStrictModeRethrows)
+{
+    // Attempts throw "first", then "second": the report's error and the
+    // strict rethrow must both name the first attempt.
+    auto attempts = std::make_shared<std::atomic<int>>(0);
+    SweepCell cell;
+    cell.trace = &testTrace();
+    cell.make_policy = [attempts]() -> std::unique_ptr<KeepAlivePolicy> {
+        throw std::runtime_error(attempts->fetch_add(1) == 0 ? "first"
+                                                             : "second");
+    };
+    cell.key = "flaky";  // explicit: the default key would build the policy
+    SweepOptions options;
+    options.max_retries = 1;
+    const SweepReport<SimResult> report = runSweepReport({cell}, 1, options);
+    ASSERT_EQ(report.cells.size(), 1u);
+    EXPECT_EQ(report.cells[0].status, CellStatus::Failed);
+    EXPECT_EQ(report.cells[0].attempts, 2);
+    EXPECT_EQ(report.cells[0].error, "first");
+
+    attempts->store(0);
+    options.strict = true;
+    try {
+        runSweepReport({cell}, 1, options);
+        FAIL() << "expected the first attempt's exception";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "first");
+    }
 }
 
 TEST(SweepReport, StrictModeRethrowsTheOriginalException)
@@ -187,7 +219,7 @@ TEST(SweepReport, DeadlineTimesOutWedgedCells)
     SweepOptions options;
     options.deadline_s = 0.1;
     options.max_retries = 1;
-    const SweepReport report = runSweepReport(cells, 2, options);
+    const SweepReport<SimResult> report = runSweepReport(cells, 2, options);
 
     EXPECT_TRUE(report.completed);
     const CellOutcome<SimResult>& timed_out = report.cells.back();
@@ -204,7 +236,8 @@ TEST(SweepReport, PreCancelledSweepStopsWithoutRunningEverything)
     cancel.cancel(CancelReason::Signal);
     SweepOptions options;
     options.cancel = &cancel;
-    const SweepReport report = runSweepReport(smallGrid(), 1, options);
+    const SweepReport<SimResult> report =
+        runSweepReport(smallGrid(), 1, options);
     EXPECT_FALSE(report.completed);
     // Every cell is either finished or cleanly skipped — never lost.
     for (const CellOutcome<SimResult>& cell : report.cells) {
@@ -279,7 +312,7 @@ TEST(SweepResume, InterruptedSweepResumesBitIdentical)
     // deterministically cells 0 and 1.
     SweepOptions journal;
     journal.checkpoint_path = ckpt.path();
-    const SweepReport reference = runSweepReport(cells, 1, journal);
+    const SweepReport<SimResult> reference = runSweepReport(cells, 1, journal);
     ASSERT_TRUE(reference.allOk());
 
     // Simulate a SIGKILL after two records: keep the header + first two
@@ -301,7 +334,7 @@ TEST(SweepResume, InterruptedSweepResumesBitIdentical)
 
     SweepOptions resume = journal;
     resume.resume = true;
-    const SweepReport resumed = runSweepReport(cells, 2, resume);
+    const SweepReport<SimResult> resumed = runSweepReport(cells, 2, resume);
     EXPECT_TRUE(resumed.allOk());
     EXPECT_TRUE(resumed.torn_tail);
     EXPECT_EQ(resumed.restored, 2u);
@@ -318,7 +351,7 @@ TEST(SweepResume, InterruptedSweepResumesBitIdentical)
     // The repaired journal now covers the full grid and resumes to a
     // fully-restored, zero-work sweep.
     SweepOptions resume_again = resume;
-    const SweepReport warm = runSweepReport(cells, 2, resume_again);
+    const SweepReport<SimResult> warm = runSweepReport(cells, 2, resume_again);
     EXPECT_FALSE(warm.torn_tail);
     EXPECT_EQ(warm.restored, cells.size());
     for (std::size_t i = 0; i < warm.cells.size(); ++i) {
@@ -364,16 +397,16 @@ TEST(SweepReport, JournalOrderIsCompletionOrderButRestoreIsByKey)
     TempFile ckpt("order");
     SweepOptions journal;
     journal.checkpoint_path = ckpt.path();
-    const SweepReport reference = runSweepReport(cells, 4, journal);
+    const SweepReport<SimResult> reference = runSweepReport(cells, 4, journal);
     ASSERT_TRUE(reference.allOk());
 
-    const SweepCheckpointLoad load = loadSweepCheckpoint(ckpt.path());
+    const CheckpointJournalLoad load = loadCheckpointJournal(ckpt.path());
     EXPECT_EQ(load.records.size(), cells.size());
     EXPECT_EQ(load.fingerprint, sweepGridFingerprint(cells));
 
     SweepOptions resume = journal;
     resume.resume = true;
-    const SweepReport restored = runSweepReport(cells, 1, resume);
+    const SweepReport<SimResult> restored = runSweepReport(cells, 1, resume);
     EXPECT_EQ(restored.restored, cells.size());
     for (std::size_t i = 0; i < restored.cells.size(); ++i)
         EXPECT_TRUE(restored.cells[i].result ==

@@ -1,6 +1,6 @@
 // The fixed-size worker pool under the sweep engine: result delivery
-// through futures, input-order parallelMap, exception propagation, and
-// heavy contention. The tsan CI job runs this suite to catch races.
+// through futures, exception propagation, and heavy contention. The
+// tsan CI job runs this suite to catch races.
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -77,39 +76,6 @@ TEST(ThreadPool, DrainsPendingTasksOnDestruction)
         // No explicit waits: the destructor must run every queued task.
     }
     EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, ParallelMapPreservesInputOrder)
-{
-    ThreadPool pool(4);
-    std::vector<int> items(200);
-    std::iota(items.begin(), items.end(), 0);
-    const std::vector<int> squares =
-        parallelMap(pool, items, [](const int& v) { return v * v; });
-    ASSERT_EQ(squares.size(), items.size());
-    for (std::size_t i = 0; i < items.size(); ++i)
-        EXPECT_EQ(squares[i], static_cast<int>(i * i));
-}
-
-TEST(ThreadPool, ParallelMapOnEmptyInput)
-{
-    ThreadPool pool(4);
-    const std::vector<int> none;
-    EXPECT_TRUE(parallelMap(pool, none, [](const int& v) { return v; })
-                    .empty());
-}
-
-TEST(ThreadPool, ParallelMapRethrowsFirstFailure)
-{
-    ThreadPool pool(2);
-    const std::vector<int> items = {1, 2, 3};
-    EXPECT_THROW(parallelMap(pool, items,
-                             [](const int& v) {
-                                 if (v == 2)
-                                     throw std::invalid_argument("boom");
-                                 return v;
-                             }),
-                 std::invalid_argument);
 }
 
 // --- Bounded-drain shutdown (the sweep engine's wedged-task escape) ------
