@@ -3,8 +3,12 @@
  * Micro-benchmarks of the keep-alive fast path and slow path: per
  * invocation bookkeeping, warm-container lookup, and victim selection,
  * for every policy. The paper keeps the ContainerPool unsorted on the
- * fast path and sorts only on evictions (§6); these benchmarks quantify
- * that trade-off.
+ * fast path and ranks candidates only on evictions (§6); these
+ * benchmarks quantify that trade-off. Greedy-Dual ranks through its
+ * lazy-deletion heaps; the other ranked policies select by a heap built
+ * over the idle containers and popped only until the request is covered
+ * (KeepAlivePolicy::selectAscending), so BM_VictimSelection grows
+ * linearly, not as n log n, with the idle pool.
  */
 #include <benchmark/benchmark.h>
 

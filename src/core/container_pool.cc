@@ -417,36 +417,6 @@ ContainerPool::idleContainers() const
 }
 
 void
-ContainerPool::forEach(const std::function<void(Container&)>& fn)
-{
-    if (backend_ == PoolBackend::ReferenceMap) {
-        for (auto& [id, c] : containers_)
-            fn(*c);
-        return;
-    }
-    for (std::uint32_t slot = 0; slot < slot_count_; ++slot) {
-        Slot& s = slotAt(slot);
-        if (s.live)
-            fn(s.container);
-    }
-}
-
-void
-ContainerPool::forEach(const std::function<void(const Container&)>& fn) const
-{
-    if (backend_ == PoolBackend::ReferenceMap) {
-        for (const auto& [id, c] : containers_)
-            fn(*c);
-        return;
-    }
-    for (std::uint32_t slot = 0; slot < slot_count_; ++slot) {
-        const Slot& s = slotAt(slot);
-        if (s.live)
-            fn(s.container);
-    }
-}
-
-void
 ContainerPool::auditInvariants(Auditor& audit, TimeUs now) const
 {
     // Shared accounting: memory and population recomputed from a full

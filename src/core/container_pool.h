@@ -4,7 +4,7 @@
  *
  * Tracks all live containers on a server against a memory capacity.
  * Following the FaasCache implementation, the pool is not kept sorted by
- * priority on the invocation fast path; policies sort candidates only
+ * priority on the invocation fast path; policies rank candidates only
  * when an eviction is needed.
  *
  * Two interchangeable backends (DESIGN.md §4d):
@@ -30,7 +30,6 @@
 #define FAASCACHE_CORE_CONTAINER_POOL_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -140,9 +139,21 @@ class ContainerPool
     std::vector<Container*> idleContainers();
     std::vector<const Container*> idleContainers() const;
 
-    /** Visit every container (order is backend-specific). */
-    void forEach(const std::function<void(Container&)>& fn);
-    void forEach(const std::function<void(const Container&)>& fn) const;
+    /**
+     * Visit every container (order is backend-specific: slab slot order,
+     * or the reference map's bucket order). Inline so a per-container
+     * visit costs no indirect call.
+     */
+    template <typename Fn>
+    void forEach(Fn&& fn)
+    {
+        forEachLive(*this, fn);
+    }
+    template <typename Fn>
+    void forEach(Fn&& fn) const
+    {
+        forEachLive(*this, [&fn](const Container& c) { fn(c); });
+    }
 
     /**
      * Transition every busy container whose invocation completed by
@@ -226,6 +237,22 @@ class ContainerPool
     void insertIdleSorted(FunctionId function, std::uint32_t slot);
     /** Remove `slot` from the list rooted at `head`. */
     void unlinkList(std::uint32_t& head, std::uint32_t slot);
+
+    /** The walk behind both forEach overloads (Self is const or not). */
+    template <typename Self, typename Fn>
+    static void forEachLive(Self& self, Fn&& fn)
+    {
+        if (self.backend_ == PoolBackend::ReferenceMap) {
+            for (auto& entry : self.containers_)
+                fn(*entry.second);
+            return;
+        }
+        for (std::uint32_t slot = 0; slot < self.slot_count_; ++slot) {
+            auto& s = self.slotAt(slot);
+            if (s.live)
+                fn(s.container);
+        }
+    }
 
     /** Drop the dead prefix of the id→slot window (amortized O(1)). */
     void maybeCompactIdWindow();

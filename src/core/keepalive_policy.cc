@@ -1,7 +1,5 @@
 #include "core/keepalive_policy.h"
 
-#include <algorithm>
-
 namespace faascache {
 
 void
@@ -51,27 +49,6 @@ std::vector<FunctionId>
 KeepAlivePolicy::duePrewarms(TimeUs)
 {
     return {};
-}
-
-std::vector<ContainerId>
-KeepAlivePolicy::selectAscending(
-    ContainerPool& pool, MemMb needed_mb,
-    const std::function<bool(const Container&, const Container&)>& less)
-{
-    std::vector<Container*> idle = pool.idleContainers();
-    std::sort(idle.begin(), idle.end(),
-              [&](const Container* a, const Container* b) {
-                  return less(*a, *b);
-              });
-    std::vector<ContainerId> victims;
-    MemMb freed = 0;
-    for (const Container* c : idle) {
-        if (freed >= needed_mb)
-            break;
-        victims.push_back(c->id());
-        freed += c->memMb();
-    }
-    return victims;
 }
 
 }  // namespace faascache

@@ -12,7 +12,7 @@
 #ifndef FAASCACHE_CORE_KEEPALIVE_POLICY_H_
 #define FAASCACHE_CORE_KEEPALIVE_POLICY_H_
 
-#include <functional>
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -129,13 +129,59 @@ class KeepAlivePolicy
     /**
      * Helper: greedily select idle containers in ascending `less` order
      * until at least `needed_mb` MB would be freed (best effort).
+     *
+     * Heap selection: the idle containers are gathered into a buffer
+     * reused between calls, heapified under the reversed order, and
+     * popped only until `needed_mb` is covered — O(n + k log n) for k
+     * victims out of n idle containers, where a full sort would cost
+     * O(n log n) to take the first one or two.
+     *
+     * @pre `less` is a strict total order over containers (every
+     *      caller's order ends in Container::id()). The popped prefix is
+     *      then exactly the sorted prefix, in the same order, whatever
+     *      order the pool enumerates its containers in.
      */
-    static std::vector<ContainerId> selectAscending(
-        ContainerPool& pool, MemMb needed_mb,
-        const std::function<bool(const Container&, const Container&)>& less);
+    template <typename Less>
+    std::vector<ContainerId> selectAscending(ContainerPool& pool,
+                                             MemMb needed_mb, Less less);
 
     FunctionStatsTable stats_;
+
+  private:
+    /** selectAscending's heap buffer; holds no state between calls. */
+    std::vector<Container*> victim_heap_;
 };
+
+template <typename Less>
+std::vector<ContainerId>
+KeepAlivePolicy::selectAscending(ContainerPool& pool, MemMb needed_mb,
+                                 Less less)
+{
+    std::vector<ContainerId> victims;
+    if (needed_mb <= 0)
+        return victims;
+    std::vector<Container*>& heap = victim_heap_;
+    heap.clear();
+    pool.forEach([&heap](Container& c) {
+        if (c.idle())
+            heap.push_back(&c);
+    });
+    // std heaps keep the greatest element on top, so the reversed order
+    // puts the least container (the next victim) there.
+    const auto after = [&less](const Container* a, const Container* b) {
+        return less(*b, *a);
+    };
+    std::make_heap(heap.begin(), heap.end(), after);
+    MemMb freed = 0;
+    for (auto end = heap.end(); freed < needed_mb && end != heap.begin();
+         --end) {
+        std::pop_heap(heap.begin(), end, after);
+        const Container* victim = *(end - 1);
+        victims.push_back(victim->id());
+        freed += victim->memMb();
+    }
+    return victims;
+}
 
 }  // namespace faascache
 

@@ -71,7 +71,7 @@ elasticSweepFingerprint(const std::vector<ElasticCell>& cells)
     const std::vector<std::string> keys = elasticCellKeys(cells);
     std::unordered_map<const Trace*, std::uint64_t> trace_hashes;
     std::ostringstream out;
-    out << "faascache-elastic-grid-v1;" << cells.size() << ';';
+    out << "faascache-elastic-grid-v2;" << cells.size() << ';';
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const ElasticCell& cell = cells[i];
         auto it = trace_hashes.find(cell.trace);
@@ -90,6 +90,7 @@ elasticSweepFingerprint(const std::vector<ElasticCell>& cells)
         hashHexDouble(out, ctl.arrival_smoothing_alpha);
         hashHexDouble(out, ctl.min_size_mb);
         hashHexDouble(out, ctl.max_size_mb);
+        hashHexDouble(out, ctl.overload_grow_frac);
         const ElasticConfig& ela = cell.elastic;
         out << ela.control_period_us << ';';
         hashHexDouble(out, ela.initial_size_mb);
@@ -116,7 +117,8 @@ encodeElasticCheckpointPayload(const std::string& key,
             << hexDoubleToken(sample.arrival_rate) << ' '
             << hexDoubleToken(sample.miss_speed) << ' '
             << hexDoubleToken(sample.smoothed_arrival) << ' '
-            << hexDoubleToken(sample.available_fraction);
+            << hexDoubleToken(sample.available_fraction) << ' '
+            << hexDoubleToken(sample.overload_pressure);
     }
     // The SimResult block rides along as a suffix via its own codec
     // (keyed identically; the decoder checks the keys match).
@@ -144,7 +146,8 @@ decodeElasticCheckpointPayload(const std::string& payload,
             !nextDouble(in, &sample.arrival_rate) ||
             !nextDouble(in, &sample.miss_speed) ||
             !nextDouble(in, &sample.smoothed_arrival) ||
-            !nextDouble(in, &sample.available_fraction))
+            !nextDouble(in, &sample.available_fraction) ||
+            !nextDouble(in, &sample.overload_pressure))
             return false;
     }
 

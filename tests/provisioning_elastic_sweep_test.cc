@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -75,6 +76,32 @@ elasticGrid()
     return cells;
 }
 
+/**
+ * One 512 MB function whose minute-long invocations arrive every
+ * second: a cache capped at 1 GB holds two of them and drops the rest,
+ * so every control period sees overload pressure.
+ */
+ElasticCell
+overloadedCell()
+{
+    static const Trace kTrace = [] {
+        Trace t("elastic-overload");
+        t.addFunction(makeFunction(0, "slow", 512, kMinute, kSecond));
+        for (int i = 0; i < 20 * 60; ++i)
+            t.addInvocation(0, i * kSecond);
+        return t;
+    }();
+    ElasticCell cell;
+    cell.trace = &kTrace;
+    cell.kind = PolicyKind::GreedyDual;
+    cell.controller.target_miss_speed = 1.0;
+    cell.controller.min_size_mb = 512;
+    cell.controller.max_size_mb = 1024;
+    cell.elastic.control_period_us = 5 * kMinute;
+    cell.elastic.initial_size_mb = 1024;
+    return cell;
+}
+
 void
 expectSameElasticResult(const ElasticResult& a, const ElasticResult& b)
 {
@@ -89,6 +116,8 @@ expectSameElasticResult(const ElasticResult& a, const ElasticResult& b)
                   b.timeline[i].smoothed_arrival);
         EXPECT_EQ(a.timeline[i].available_fraction,
                   b.timeline[i].available_fraction);
+        EXPECT_EQ(a.timeline[i].overload_pressure,
+                  b.timeline[i].overload_pressure);
     }
     EXPECT_EQ(a.sim.policy_name, b.sim.policy_name);
     EXPECT_EQ(a.sim.warm_starts, b.sim.warm_starts);
@@ -154,6 +183,45 @@ TEST(ElasticFingerprint, SensitiveToControllerAndElasticKnobs)
         {10 * kMinute, 20 * kMinute, 0.5});
     EXPECT_NE(elasticSweepFingerprint(grid),
               elasticSweepFingerprint(lossy));
+}
+
+TEST(ElasticFingerprint, SensitiveToOverloadGrowFrac)
+{
+    std::vector<ElasticCell> off = elasticGrid();
+    std::vector<ElasticCell> on = elasticGrid();
+    off[0].controller.overload_grow_frac = 0.0;
+    on[0].controller.overload_grow_frac = 0.5;
+    EXPECT_NE(elasticSweepFingerprint(off), elasticSweepFingerprint(on));
+}
+
+TEST(ElasticSweepResume, RestoresOverloadPressure)
+{
+    TempFile ckpt("pressure");
+    const std::vector<ElasticCell> grid = {overloadedCell()};
+
+    SweepOptions options;
+    options.checkpoint_path = ckpt.path();
+    const SweepReport<ElasticResult> fresh =
+        runElasticSweepReport(grid, 1, options);
+    ASSERT_TRUE(fresh.allOk());
+
+    options.resume = true;
+    const SweepReport<ElasticResult> resumed =
+        runElasticSweepReport(grid, 1, options);
+    ASSERT_TRUE(resumed.allOk());
+    ASSERT_EQ(resumed.restored, 1u);
+    ASSERT_TRUE(resumed.cells[0].restored);
+
+    const auto& expected = fresh.cells[0].result.timeline;
+    const auto& actual = resumed.cells[0].result.timeline;
+    ASSERT_EQ(actual.size(), expected.size());
+    double peak = 0.0;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(actual[i].overload_pressure, expected[i].overload_pressure)
+            << "period " << i;
+        peak = std::max(peak, expected[i].overload_pressure);
+    }
+    EXPECT_GT(peak, 0.0);
 }
 
 TEST(ElasticSweepResume, RestoresEveryCellBitForBit)
