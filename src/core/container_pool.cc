@@ -91,28 +91,13 @@ ContainerPool::reserve(std::size_t containers, std::size_t functions)
     const std::size_t chunks = (containers + kChunkSize - 1) / kChunkSize;
     chunks_.reserve(chunks);
     slot_by_id_.reserve(std::max(containers, kMinCompactWindow));
-    if (idle_head_.size() < functions) {
-        idle_head_.resize(functions, kNilSlot);
-        fn_count_.resize(functions, 0);
-    }
+    functions_.reserve(functions);
 }
 
 std::uint32_t
 ContainerPool::slotUpperBound() const
 {
     return backend_ == PoolBackend::Slab ? slot_count_ : next_ref_slot_;
-}
-
-std::uint32_t&
-ContainerPool::idleHead(FunctionId function)
-{
-    if (function >= idle_head_.size()) {
-        std::size_t grown = std::max<std::size_t>(
-            static_cast<std::size_t>(function) + 1, idle_head_.size() * 2);
-        idle_head_.resize(grown, kNilSlot);
-        fn_count_.resize(grown, 0);
-    }
-    return idle_head_[function];
 }
 
 std::uint32_t
@@ -156,7 +141,7 @@ ContainerPool::unlinkList(std::uint32_t& head, std::uint32_t slot)
 void
 ContainerPool::insertIdleSorted(FunctionId function, std::uint32_t slot)
 {
-    std::uint32_t& head = idleHead(function);
+    std::uint32_t& head = functions_[function].idle_head;
     const Container& c = slotAt(slot).container;
     std::uint32_t prev = kNilSlot;
     std::uint32_t cur = head;
@@ -212,7 +197,7 @@ ContainerPool::onContainerBusy(Container& c)
     if (backend_ != PoolBackend::Slab)
         return;
     const std::uint32_t slot = c.pool_slot_;
-    unlinkList(idleHead(c.function()), slot);
+    unlinkList(functions_[c.function()].idle_head, slot);
     pushList(busy_head_, slot);
 }
 
@@ -263,7 +248,7 @@ ContainerPool::add(const FunctionSpec& function, TimeUs now, bool prewarmed)
     s.container.bindPool(this, slot);
     s.live = true;
     insertIdleSorted(function.id, slot);
-    ++fn_count_[function.id];
+    ++functions_[function.id].count;
 
     // Ids are sequential, so the new id always lands one past the window.
     assert(id - id_base_ == slot_by_id_.size());
@@ -304,8 +289,9 @@ ContainerPool::remove(ContainerId id)
     Slot& s = slotAt(slot);
     assert(s.live);
     assert(s.container.idle());
-    unlinkList(idleHead(s.container.function()), slot);
-    --fn_count_[s.container.function()];
+    FunctionSlots& fs = functions_[s.container.function()];
+    unlinkList(fs.idle_head, slot);
+    --fs.count;
     used_mb_ -= s.container.memMb();
     if (used_mb_ < 0)
         used_mb_ = 0;  // defend against float drift
@@ -354,11 +340,11 @@ ContainerPool::findIdleWarm(FunctionId function)
         }
         return best;
     }
-    if (function >= idle_head_.size())
-        return nullptr;
     // The idle list is sorted warmest-first, so the head is the answer.
-    const std::uint32_t head = idle_head_[function];
-    return head == kNilSlot ? nullptr : &slotAt(head).container;
+    const FunctionSlots* fs = functions_.find(function);
+    return fs == nullptr || fs->idle_head == kNilSlot
+        ? nullptr
+        : &slotAt(fs->idle_head).container;
 }
 
 std::vector<const Container*>
@@ -386,7 +372,8 @@ ContainerPool::countOf(FunctionId function) const
         auto it = by_function_.find(function);
         return it == by_function_.end() ? 0 : it->second.size();
     }
-    return function < fn_count_.size() ? fn_count_[function] : 0;
+    const FunctionSlots* fs = functions_.find(function);
+    return fs == nullptr ? 0 : fs->count;
 }
 
 std::vector<Container*>
@@ -522,9 +509,9 @@ ContainerPool::auditInvariants(Auditor& audit, TimeUs now) const
     // warmest-first; together with the busy count they partition the
     // live population.
     std::size_t idle_listed = 0;
-    for (FunctionId fn = 0; fn < idle_head_.size(); ++fn) {
+    functions_.forEachById([&](FunctionId fn, const FunctionSlots& fs) {
         const Container* prev = nullptr;
-        for (std::uint32_t s = idle_head_[fn]; s != kNilSlot;
+        for (std::uint32_t s = fs.idle_head; s != kNilSlot;
              s = slotAt(s).next) {
             ++idle_listed;
             const Slot& slot = slotAt(s);
@@ -546,15 +533,14 @@ ContainerPool::auditInvariants(Auditor& audit, TimeUs now) const
         }
         const std::size_t expect =
             fn < per_fn_live.size() ? per_fn_live[fn] : 0;
-        if (fn < fn_count_.size() && fn_count_[fn] != expect) {
+        if (fs.count != expect) {
             audit.fail("pool-fn-count", now,
                        static_cast<std::int64_t>(fn),
-                       "per-function count " +
-                           std::to_string(fn_count_[fn]) +
+                       "per-function count " + std::to_string(fs.count) +
                            " != live containers " +
                            std::to_string(expect));
         }
-    }
+    });
     audit.require(idle_listed + busy == live, "pool-idle-list", now, -1,
                   "idle lists + busy list do not partition the live "
                   "population");

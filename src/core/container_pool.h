@@ -37,6 +37,7 @@
 #include "core/container.h"
 #include "trace/function_spec.h"
 #include "util/audit.h"
+#include "util/function_table.h"
 #include "util/types.h"
 
 namespace faascache {
@@ -220,8 +221,13 @@ class ContainerPool
         return chunks_[slot >> kChunkShift][slot & kChunkMask];
     }
 
-    /** Head of the idle list for `function` (kNilSlot when empty). */
-    std::uint32_t& idleHead(FunctionId function);
+    /** Slab per-function state: the head of the function's idle list
+     *  (kNilSlot when empty) and its live container count. */
+    struct FunctionSlots
+    {
+        std::uint32_t idle_head = kNilSlot;
+        std::uint32_t count = 0;
+    };
 
     /** Take a slot from the free list, allocating a chunk if needed. */
     std::uint32_t acquireSlot();
@@ -273,8 +279,8 @@ class ContainerPool
     std::uint32_t slot_count_ = 0;     ///< Slots ever carved from chunks.
     std::uint32_t free_head_ = kNilSlot;
     std::uint32_t busy_head_ = kNilSlot;
-    std::vector<std::uint32_t> idle_head_;  ///< Per-function idle lists.
-    std::vector<std::uint32_t> fn_count_;   ///< Live containers per function.
+    /** Per-function idle lists and live counts, sized by use. */
+    FunctionTable<FunctionSlots> functions_;
     /** id→slot, indexed by (id - id_base_); kNilSlot for dead ids. */
     std::vector<std::uint32_t> slot_by_id_;
     ContainerId id_base_ = 1;

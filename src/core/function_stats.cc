@@ -1,23 +1,6 @@
 #include "core/function_stats.h"
 
-#include <algorithm>
-
 namespace faascache {
-
-void
-FunctionStatsTable::touch(FunctionId function)
-{
-    if (function >= table_.size()) {
-        const std::size_t grown = std::max<std::size_t>(
-            static_cast<std::size_t>(function) + 1, table_.size() * 2);
-        table_.resize(grown);
-        seen_.resize(grown, 0);
-    }
-    if (seen_[function] == 0) {
-        seen_[function] = 1;
-        ++observed_;
-    }
-}
 
 void
 FunctionStatsTable::recordArrival(FunctionId function, TimeUs now)
@@ -31,15 +14,8 @@ FunctionStatsTable::recordArrival(FunctionId function, TimeUs now)
 void
 FunctionStatsTable::resetFrequency(FunctionId function)
 {
-    if (function < table_.size())
-        table_[function].frequency = 0;
-}
-
-void
-FunctionStatsTable::reserve(std::size_t functions)
-{
-    table_.reserve(functions);
-    seen_.reserve(functions);
+    if (FunctionStats* s = table_.find(function))
+        s->frequency = 0;
 }
 
 }  // namespace faascache

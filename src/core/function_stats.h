@@ -7,16 +7,19 @@
  * function's containers and resets to zero when the function's last
  * container is terminated.
  *
- * FunctionId is a dense uint32 assigned by the trace catalog, so the
- * table is a flat vector indexed by id — a per-arrival array load on the
- * hot path instead of a hash probe (DESIGN.md §4d).
+ * FunctionId is a dense uint32 assigned by the trace catalog. The table
+ * is a FunctionTable (util/function_table.h): a catalog-sized slot map
+ * in front of rows stored in first-seen order, so a per-arrival lookup
+ * is two array loads instead of a hash probe, and a policy on an
+ * invoker that serves a few functions of a large catalog touches a few
+ * rows instead of one catalog-sized array (DESIGN.md §4d).
  */
 #ifndef FAASCACHE_CORE_FUNCTION_STATS_H_
 #define FAASCACHE_CORE_FUNCTION_STATS_H_
 
 #include <cstdint>
-#include <vector>
 
+#include "util/function_table.h"
 #include "util/types.h"
 
 namespace faascache {
@@ -34,22 +37,19 @@ struct FunctionStats
     TimeUs last_arrival_us = -1;
 };
 
-/** Table of FunctionStats indexed by dense function id. */
+/** Table of FunctionStats keyed by dense function id. */
 class FunctionStatsTable
 {
   public:
     /** Stats for `function`, default-constructed on first access. */
-    FunctionStats& of(FunctionId function)
-    {
-        touch(function);
-        return table_[function];
-    }
+    FunctionStats& of(FunctionId function) { return table_[function]; }
 
     /** Read-only lookup; returns a zero value if never seen. */
     const FunctionStats& of(FunctionId function) const
     {
         static const FunctionStats kZero;
-        return function < table_.size() ? table_[function] : kZero;
+        const FunctionStats* stats = table_.find(function);
+        return stats != nullptr ? *stats : kZero;
     }
 
     /** Record an invocation arrival. */
@@ -59,20 +59,13 @@ class FunctionStatsTable
     void resetFrequency(FunctionId function);
 
     /** Pre-size for ids in [0, functions) (allocation hint only). */
-    void reserve(std::size_t functions);
+    void reserve(std::size_t functions) { table_.reserve(functions); }
 
     /** Number of functions ever observed. */
-    std::size_t size() const { return observed_; }
+    std::size_t size() const { return table_.size(); }
 
   private:
-    /** Ensure `function` is in range and counted as observed. */
-    void touch(FunctionId function);
-
-    std::vector<FunctionStats> table_;
-    /** Parallel observed-markers; `table_` slots default to zero stats,
-     *  so this only feeds the observed-function count. */
-    std::vector<std::uint8_t> seen_;
-    std::size_t observed_ = 0;
+    FunctionTable<FunctionStats> table_;
 };
 
 }  // namespace faascache

@@ -39,17 +39,15 @@ GreedyDualPolicy::reserveFunctions(std::size_t n)
 double
 GreedyDualPolicy::valueTerm(FunctionId function) const
 {
-    if (function >= characteristics_.size() ||
-        characteristics_[function].size == 0.0) {
+    const CostSize* cs = characteristics_.find(function);
+    if (cs == nullptr)
         return 0.0;
-    }
-    const CostSize& cs = characteristics_[function];
     const double freq = config_.use_frequency
         ? static_cast<double>(std::max<std::int64_t>(
               1, stats_.of(function).frequency))
         : 1.0;
-    const double cost = config_.use_cost ? cs.cost_sec : 1.0;
-    const double size = config_.use_size ? cs.size : 1.0;
+    const double cost = config_.use_cost ? cs->cost_sec : 1.0;
+    const double size = config_.use_size ? cs->size : 1.0;
     return freq * cost / size;
 }
 
@@ -77,14 +75,9 @@ void
 GreedyDualPolicy::touch(Container& container, const FunctionSpec& function)
 {
     assert(function.mem_mb > 0);
-    if (function.id >= characteristics_.size()) {
-        characteristics_.resize(std::max<std::size_t>(
-            static_cast<std::size_t>(function.id) + 1,
-            characteristics_.size() * 2));
-    }
-    characteristics_[function.id] =
-        CostSize{toSeconds(function.initTime()), scalarSizeOf(function)};
-    assert(characteristics_[function.id].size > 0.0);
+    CostSize& cs = characteristics_[function.id];
+    cs = CostSize{toSeconds(function.initTime()), scalarSizeOf(function)};
+    assert(cs.size > 0.0);
     container.setPolicyClock(clock_);
     container.setPriority(clock_ + valueTerm(function.id));
     if (config_.eviction_engine == GdEvictionEngine::LazyHeap) {

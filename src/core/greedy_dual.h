@@ -63,6 +63,7 @@
 
 #include "core/keepalive_policy.h"
 #include "core/size_norm.h"
+#include "util/function_table.h"
 
 namespace faascache {
 
@@ -220,15 +221,14 @@ class GreedyDualPolicy : public KeepAlivePolicy
     struct CostSize
     {
         double cost_sec = 0.0;
-        /** Scalarized size under the configured SizeNorm; zero marks a
-         *  function never touched (sizes of real functions are > 0). */
+        /** Scalarized size under the configured SizeNorm (> 0). */
         double size = 0.0;
     };
 
     GreedyDualConfig config_;
     double clock_ = 0.0;
-    /** Per-function cost/size, indexed by dense function id. */
-    std::vector<CostSize> characteristics_;
+    /** Per-function cost/size of every function touched so far. */
+    FunctionTable<CostSize> characteristics_;
 
     /** Priority min-heap of idle containers (via std::*_heap with a
      *  greater-than comparator). */

@@ -35,47 +35,54 @@ std::vector<ContainerId>
 LandlordPolicy::selectVictims(ContainerPool& pool, MemMb needed_mb, TimeUs)
 {
     constexpr double kEps = 1e-12;
-    std::vector<Container*> idle = pool.idleContainers();
+    // Candidates in pool enumeration order: the result does not depend
+    // on it, because delta is a min, each container's charge depends
+    // only on delta and its own credit, and the insolvent set is sorted
+    // by a total order before any of it is evicted.
+    candidates_.clear();
+    pool.forEach([this](Container& c) {
+        if (c.idle())
+            candidates_.push_back(&c);
+    });
     std::vector<ContainerId> victims;
     MemMb freed = 0;
 
-    while (freed < needed_mb && !idle.empty()) {
+    while (freed < needed_mb && !candidates_.empty()) {
         // Rent: the smallest credit density among remaining candidates.
         double delta = std::numeric_limits<double>::infinity();
-        for (const Container* c : idle) {
+        for (const Container* c : candidates_) {
             assert(c->memMb() > 0);
             delta = std::min(delta, c->credit() / c->memMb());
         }
         // Charge everyone; collect the containers run out of credit.
-        std::vector<Container*> still_solvent;
-        still_solvent.reserve(idle.size());
-        // Evict insolvent containers in deterministic (LRU, id) order.
-        std::vector<Container*> insolvent;
-        for (Container* c : idle) {
+        solvent_.clear();
+        insolvent_.clear();
+        for (Container* c : candidates_) {
             c->setCredit(c->credit() - delta * c->memMb());
             if (c->credit() <= kEps) {
                 c->setCredit(0.0);
-                insolvent.push_back(c);
+                insolvent_.push_back(c);
             } else {
-                still_solvent.push_back(c);
+                solvent_.push_back(c);
             }
         }
-        std::sort(insolvent.begin(), insolvent.end(),
+        // Evict insolvent containers in deterministic (LRU, id) order.
+        std::sort(insolvent_.begin(), insolvent_.end(),
                   [](const Container* a, const Container* b) {
                       if (a->lastUsed() != b->lastUsed())
                           return a->lastUsed() < b->lastUsed();
                       return a->id() < b->id();
                   });
-        for (Container* c : insolvent) {
+        for (Container* c : insolvent_) {
             if (freed >= needed_mb) {
                 // Spare the rest; they keep zero credit until next use.
-                still_solvent.push_back(c);
+                solvent_.push_back(c);
                 continue;
             }
             victims.push_back(c->id());
             freed += c->memMb();
         }
-        idle = std::move(still_solvent);
+        candidates_.swap(solvent_);
     }
     return victims;
 }

@@ -36,6 +36,13 @@ class LandlordPolicy : public KeepAlivePolicy
     std::vector<ContainerId> selectVictims(ContainerPool& pool,
                                            MemMb needed_mb,
                                            TimeUs now) override;
+
+  private:
+    /** Rent-round buffers, reused across calls: the remaining
+     *  candidates, and the round's solvent and insolvent split. */
+    std::vector<Container*> candidates_;
+    std::vector<Container*> solvent_;
+    std::vector<Container*> insolvent_;
 };
 
 }  // namespace faascache

@@ -55,18 +55,31 @@ checkClusterArrival(const Invocation& inv, TimeUs& last,
  * The balancer's primary for each arrival, computed in stream order.
  * RoundRobin and FunctionHash primaries are pure functions of (index,
  * function); Random primaries are sequential RNG draws, so the tracker
- * must see every arrival once, in order. The engine never recalls a
- * primary later: it travels with each cross-shard message instead.
+ * must see every arrival once, in order. FunctionHash primaries are
+ * hashed once per catalog function up front, so an arrival costs one
+ * table load. The engine never recalls a primary later: it travels
+ * with each cross-shard message instead.
  */
 class PrimaryTracker
 {
   public:
-    explicit PrimaryTracker(const ClusterConfig& config)
+    /** @param catalog_size Functions of the stream's catalog; every
+     *         arrival passed to onArrival() names one of them. */
+    PrimaryTracker(const ClusterConfig& config, std::size_t catalog_size)
         : config_(&config), rng_(config.seed)
     {
+        if (config.balancing != LoadBalancing::FunctionHash)
+            return;
+        primary_of_.resize(catalog_size);
+        for (std::size_t f = 0; f < catalog_size; ++f) {
+            primary_of_[f] = static_cast<std::uint32_t>(
+                Rng::hashMix(static_cast<FunctionId>(f) ^ config.seed) %
+                config.num_servers);
+        }
     }
 
-    /** Primary of the next arrival; call once per arrival, in order. */
+    /** Primary of the next arrival; call once per arrival, in order.
+     *  @pre inv.function < the catalog size given at construction. */
     std::size_t onArrival(std::size_t index, const Invocation& inv)
     {
         switch (config_->balancing) {
@@ -78,14 +91,17 @@ class PrimaryTracker
           case LoadBalancing::FunctionHash:
             break;
         }
-        return static_cast<std::size_t>(
-            Rng::hashMix(inv.function ^ config_->seed) %
-            config_->num_servers);
+        return primary_of_[inv.function];
     }
+
+    /** Restart from the first arrival of the stream. */
+    void rewind() { rng_ = Rng(config_->seed); }
 
   private:
     const ClusterConfig* config_;
     Rng rng_;
+    /** FunctionHash only: the primary of each catalog function. */
+    std::vector<std::uint32_t> primary_of_;
 };
 
 /**
@@ -109,7 +125,7 @@ class BalancerFilterSource final : public InvocationSource
                          const ClusterConfig& config, std::size_t server)
         : inner_(&inner), config_(&config), server_(server),
           name_(inner.name() + "-server" + std::to_string(server)),
-          tracker_(config)
+          tracker_(config, inner.functions().size())
     {
     }
 
@@ -140,7 +156,7 @@ class BalancerFilterSource final : public InvocationSource
     void reset() override
     {
         inner_->reset();
-        tracker_ = PrimaryTracker(*config_);
+        tracker_.rewind();
         index_ = 0;
         last_arrival_ = 0;
         has_pending_ = false;

@@ -403,10 +403,18 @@ runShardWorker(WindowedRun& run, std::size_t shard)
         for (; seen_successes[s] < successes; ++seen_successes[s])
             breakers[s].recordSuccess(now);
     };
+    // Every mutation of an owned server's state — dispatch, mail
+    // delivery, crash, restart, OOM kill — settles it first, which
+    // marks it due for phase A (-1). Phase A then records the instant
+    // before which the server provably stays as its snapshot froze it:
+    // its next internal event, or -1 while its breaker is not Closed
+    // (an Open breaker turns HalfOpen by time alone).
+    std::vector<TimeUs> settle_due(n, -1);
     auto settleServer = [&](std::size_t s, TimeUs now) {
         servers[s]->advanceTo(now);
         if (breaker_on)
             observeServer(s, now);
+        settle_due[s] = -1;
     };
 
     const std::uint64_t jitter_base =
@@ -571,7 +579,7 @@ runShardWorker(WindowedRun& run, std::size_t shard)
                                 /*redispatched=*/attempt > 0);
     };
 
-    PrimaryTracker primaries(config);
+    PrimaryTracker primaries(config, catalog.size());
     std::size_t cursor_index = 0;
     TimeUs last_arrival = 0;
     Invocation arr;
@@ -584,7 +592,14 @@ runShardWorker(WindowedRun& run, std::size_t shard)
         // Phase A: settle owned servers to the window instant and
         // publish their snapshots (the frozen view every other shard
         // dispatches against for the coming window). Posts no mail.
+        // A server not due before this window is skipped: no event of
+        // its own precedes the window and nothing touched it since its
+        // last settle, so advancing and observing it would do nothing
+        // and its published snapshot (down flag, queue depth, a Closed
+        // breaker's admit) is still exact.
         for (std::size_t s = first_server; s < end_server; ++s) {
+            if (settle_due[s] >= window)
+                continue;
             settleServer(s, window);
             ShardSnapshot snap;
             snap.down = down[s] != 0;
@@ -605,6 +620,10 @@ runShardWorker(WindowedRun& run, std::size_t shard)
                     static_cast<std::int64_t>(s),
                     "more closes than opens");
             }
+            settle_due[s] =
+                breakers[s].state(window) == BreakerState::Closed
+                ? servers[s]->nextEventTime()
+                : -1;
         }
         run.published[shard].round.store(round,
                                          std::memory_order_release);
@@ -665,7 +684,7 @@ runShardWorker(WindowedRun& run, std::size_t shard)
                 // the owner of the primary acts on the arrival.
                 const std::size_t primary =
                     primaries.onArrival(index, inv);
-                if (run.owner(primary) != shard)
+                if (!owned(primary))
                     continue;
                 last_event_us = std::max(last_event_us, inv.arrival_us);
                 processDispatch(index, inv, 0, primary, inv.arrival_us);

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace faascache {
 
@@ -185,7 +186,7 @@ Server::tryDispatch(const PendingRequest& request, TimeUs now)
 
     const Invocation& inv = request.inv;
     const FunctionSpec& spec = (*catalog_)[inv.function];
-    FunctionOutcome& outcome = result_.per_function[spec.id];
+    FunctionOutcome& outcome = outcomeOf(spec.id);
 
     if (Container* warm = pool_.findIdleWarm(spec.id)) {
         // Warm hits are served even while browned out: that is the
@@ -343,7 +344,7 @@ Server::drainQueueReference(TimeUs now)
         queue_.pop_front();
         if (now - head.enqueued_us > config_.queue_timeout_us) {
             ++result_.dropped_timeout;
-            ++result_.per_function[head.inv.function].dropped;
+            ++outcomeOf(head.inv.function).dropped;
             if (audit_ != nullptr)
                 ++audit_resolved_;
             continue;
@@ -366,7 +367,7 @@ Server::drainQueueReference(TimeUs now)
             const FunctionId fn = head.inv.function;
             if (pool_.findIdleWarm(fn) == nullptr) {
                 ++result_.overload.brownout_denied_cold;
-                ++result_.per_function[fn].dropped;
+                ++outcomeOf(fn).dropped;
                 if (audit_ != nullptr)
                     ++audit_resolved_;
             } else {
@@ -383,7 +384,7 @@ Server::drainQueueReference(TimeUs now)
         }
         if (outcome == Dispatch::BrownoutDenied) {
             ++result_.overload.brownout_denied_cold;
-            ++result_.per_function[head.inv.function].dropped;
+            ++outcomeOf(head.inv.function).dropped;
             if (audit_ != nullptr)
                 ++audit_resolved_;
             continue;
@@ -436,7 +437,7 @@ Server::drainQueueDense(TimeUs now)
         PendingRequest& head = request_nodes_[i].req;
         if (now - head.enqueued_us > config_.queue_timeout_us) {
             ++result_.dropped_timeout;
-            ++result_.per_function[head.inv.function].dropped;
+            ++outcomeOf(head.inv.function).dropped;
             if (audit_ != nullptr)
                 ++audit_resolved_;
             eraseRequestDense(i);
@@ -457,7 +458,7 @@ Server::drainQueueDense(TimeUs now)
             const FunctionId fn = head.inv.function;
             if (pool_.findIdleWarm(fn) == nullptr) {
                 ++result_.overload.brownout_denied_cold;
-                ++result_.per_function[fn].dropped;
+                ++outcomeOf(fn).dropped;
                 if (audit_ != nullptr)
                     ++audit_resolved_;
                 eraseRequestDense(i);
@@ -474,7 +475,7 @@ Server::drainQueueDense(TimeUs now)
         }
         if (outcome == Dispatch::BrownoutDenied) {
             ++result_.overload.brownout_denied_cold;
-            ++result_.per_function[head.inv.function].dropped;
+            ++outcomeOf(head.inv.function).dropped;
             if (audit_ != nullptr)
                 ++audit_resolved_;
             eraseRequestDense(i);
@@ -535,7 +536,7 @@ Server::acceptArrival(std::size_t invocation_index, const Invocation& inv,
         ++audit_arrivals_;
     if (down_) {
         ++result_.robustness.dropped_unavailable;
-        ++result_.per_function[spec.id].dropped;
+        ++outcomeOf(spec.id).dropped;
         if (audit_ != nullptr)
             ++audit_resolved_;
         return false;
@@ -543,7 +544,7 @@ Server::acceptArrival(std::size_t invocation_index, const Invocation& inv,
     policy_->onInvocationArrival(spec, now);
     if (spec.mem_mb > pool_.capacityMb()) {
         ++result_.dropped_oversize;
-        ++result_.per_function[spec.id].dropped;
+        ++outcomeOf(spec.id).dropped;
         if (audit_ != nullptr)
             ++audit_resolved_;
         return false;
@@ -552,7 +553,7 @@ Server::acceptArrival(std::size_t invocation_index, const Invocation& inv,
     // delay target stays violated (deterministic CoDel schedule).
     if (config_.overload.admission.enabled && admission_.shouldShed(now)) {
         ++result_.overload.admission_shed;
-        ++result_.per_function[spec.id].dropped;
+        ++outcomeOf(spec.id).dropped;
         if (audit_ != nullptr)
             ++audit_resolved_;
         return false;
@@ -560,7 +561,7 @@ Server::acceptArrival(std::size_t invocation_index, const Invocation& inv,
     // Preserve FIFO ordering: join the queue and drain.
     if (queueDepth() >= config_.queue_capacity) {
         ++result_.dropped_queue_full;
-        ++result_.per_function[spec.id].dropped;
+        ++outcomeOf(spec.id).dropped;
         if (audit_ != nullptr)
             ++audit_resolved_;
         return false;
@@ -607,7 +608,7 @@ Server::handleEvent(const ServerEvent& event)
         const double latency_sec =
             toSeconds(now - inflight.latency_anchor_us);
         result_.latencies_sec.push_back(latency_sec);
-        result_.latency_sum_sec[c->function()] += latency_sec;
+        tallies_[c->function()].latency_sum_sec += latency_sec;
         drainQueue(now);
         break;
       }
@@ -662,10 +663,10 @@ Server::handleEvent(const ServerEvent& event)
             injector_->crashes()[static_cast<std::size_t>(event.payload)];
         const CrashFallout fallout = crash(now);
         for (const SpilledRequest& spilled : fallout.aborted)
-            ++result_.per_function[spilled.inv.function].dropped;
+            ++outcomeOf(spilled.inv.function).dropped;
         for (const SpilledRequest& spilled : fallout.flushed_queue) {
             ++result_.robustness.dropped_unavailable;
-            ++result_.per_function[spilled.inv.function].dropped;
+            ++outcomeOf(spilled.inv.function).dropped;
         }
         if (ce.restart_after_us > 0)
             events_.schedule(now + ce.restart_after_us, EventKind::Restart);
@@ -681,7 +682,7 @@ Server::handleEvent(const ServerEvent& event)
             break;
         const auto aborted = oomKill(now);
         if (aborted.has_value())
-            ++result_.per_function[aborted->inv.function].dropped;
+            ++outcomeOf(aborted->inv.function).dropped;
         break;
       }
     }
@@ -724,7 +725,7 @@ Server::crash(TimeUs now)
             continue;
         const Inflight& inflight = entry.data;
         FunctionOutcome& outcome =
-            result_.per_function[inflight.inv.function];
+            outcomeOf(inflight.inv.function);
         if (inflight.cold) {
             --result_.cold_starts;
             --outcome.cold;
@@ -834,7 +835,7 @@ Server::oomKill(TimeUs now)
     // Roll back the start accounting exactly like a crash abort: the
     // invocation did not complete here, and a cluster may re-dispatch
     // it.
-    FunctionOutcome& outcome = result_.per_function[inflight.inv.function];
+    FunctionOutcome& outcome = outcomeOf(inflight.inv.function);
     if (inflight.cold) {
         --result_.cold_starts;
         --outcome.cold;
@@ -887,8 +888,8 @@ Server::beginRunCommon(const std::vector<FunctionSpec>& functions,
     result_ = PlatformResult{};
     result_.policy_name = policy_->name();
     result_.config = config_;
-    result_.per_function.resize(functions.size());
-    result_.latency_sum_sec.resize(functions.size(), 0.0);
+    tallies_ = FunctionTable<FunctionTally>{};
+    tallies_.reserve(functions.size());
     // At most one latency sample per invocation; one up-front grow
     // instead of doubling through the run.
     result_.latencies_sec.reserve(invocation_hint);
@@ -1044,7 +1045,7 @@ Server::closeRun(TimeUs horizon_us)
     if (config_.platform_backend == PlatformBackend::Reference) {
         for (const PendingRequest& pending : queue_) {
             ++result_.dropped_timeout;
-            ++result_.per_function[pending.inv.function].dropped;
+            ++outcomeOf(pending.inv.function).dropped;
             if (audit_ != nullptr)
                 ++audit_resolved_;
         }
@@ -1053,8 +1054,7 @@ Server::closeRun(TimeUs horizon_us)
         for (std::uint32_t i = queue_head_; i != kNilRequest;
              i = request_nodes_[i].next) {
             ++result_.dropped_timeout;
-            ++result_.per_function[request_nodes_[i].req.inv.function]
-                  .dropped;
+            ++outcomeOf(request_nodes_[i].req.inv.function).dropped;
             if (audit_ != nullptr)
                 ++audit_resolved_;
         }
@@ -1064,6 +1064,12 @@ Server::closeRun(TimeUs horizon_us)
     // observation window.
     if (down_ && horizon_us > down_since_)
         result_.robustness.downtime_us += horizon_us - down_since_;
+    result_.per_function.assign(catalog_->size(), FunctionOutcome{});
+    result_.latency_sum_sec.assign(catalog_->size(), 0.0);
+    tallies_.forEachById([this](FunctionId f, const FunctionTally& t) {
+        result_.per_function[f] = t.outcome;
+        result_.latency_sum_sec[f] = t.latency_sum_sec;
+    });
     result_.overload.admission_violations = admission_.violations();
     result_.overload.brownout_windows = brownout_.windows();
     result_.overload.brownout_us = brownout_.activeUs(horizon_us);
@@ -1107,7 +1113,9 @@ Server::closeRun(TimeUs horizon_us)
     }
     trace_ = nullptr;
     catalog_ = nullptr;
-    return result_;
+    // begin() reassigns result_; the counter accessors read its scalars,
+    // which a move leaves intact.
+    return std::move(result_);
 }
 
 }  // namespace faascache

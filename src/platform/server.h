@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,6 +49,7 @@
 #include "trace/invocation_source.h"
 #include "trace/trace.h"
 #include "util/cancellation.h"
+#include "util/function_table.h"
 #include "util/stats.h"
 
 namespace faascache {
@@ -360,6 +362,17 @@ class Server
     void advanceTo(TimeUs now);
 
     /**
+     * Time of the earliest pending internal event, or the largest
+     * TimeUs when none is pending: advanceTo(t) does nothing for every
+     * t <= nextEventTime().
+     */
+    TimeUs nextEventTime() const
+    {
+        return events_.empty() ? std::numeric_limits<TimeUs>::max()
+                               : events_.nextTime();
+    }
+
+    /**
      * Drain all remaining events and return the accounting.
      * @param horizon_us End of the observation window: no maintenance
      *        tick fires past it (one already armed beyond it is
@@ -624,6 +637,21 @@ class Server
 
     FaultInjector* injector_ = nullptr;
     PlatformResult result_;
+
+    /** Per-function accounting of the current run, sized by use;
+     *  closeRun() expands it into result_'s catalog-indexed vectors. */
+    struct FunctionTally
+    {
+        FunctionOutcome outcome;
+        double latency_sum_sec = 0.0;
+    };
+    FunctionTable<FunctionTally> tallies_;
+
+    /** The run's tally of `function`'s outcomes. */
+    FunctionOutcome& outcomeOf(FunctionId function)
+    {
+        return tallies_[function].outcome;
+    }
 
     /** CoDel-style admission controller (overload.admission). */
     AdmissionController admission_;

@@ -437,21 +437,6 @@ void FtraceRegion::touchChunk(std::uint64_t chunk)
     }
 }
 
-bool FtraceRegion::load(std::uint64_t pos, Invocation& out)
-{
-    if (pos >= num_invocations_)
-        return false;
-    const std::uint64_t chunk = pos / chunk_capacity_;
-    touchChunk(chunk);
-    const std::uint64_t off = pos % chunk_capacity_;
-    const std::uint64_t stride = ftrace::chunkStride(chunk_capacity_);
-    const unsigned char* base = map_ + chunks_off_ + chunk * stride;
-    out.arrival_us = loadI64(base + 8 + off * 8);
-    out.function = loadU32(base + 8 + std::uint64_t{chunk_capacity_} * 8 +
-                           off * 4);
-    return true;
-}
-
 void FtraceRegion::releaseConsumed()
 {
     // Release up to the slowest cursor: dropping pages a peer is still
@@ -478,6 +463,12 @@ void FtraceRegion::releaseConsumed()
         ::madvise(const_cast<unsigned char*>(map_) + begin, end - begin,
                   MADV_DONTNEED);
     released_chunks_ = min_chunk;
+}
+
+std::uint64_t FtraceRegion::releasedChunks() const
+{
+    std::lock_guard<std::mutex> lock(cursors_mutex_);
+    return released_chunks_;
 }
 
 void FtraceRegion::registerCursor(const FtraceCursor* cursor)
@@ -511,26 +502,56 @@ FtraceCursor::FtraceCursor(std::shared_ptr<FtraceRegion> region)
 
 FtraceCursor::~FtraceCursor() { region_->unregisterCursor(this); }
 
+bool FtraceCursor::enterChunk(std::uint64_t pos)
+{
+    const FtraceRegion& r = *region_;
+    if (pos >= r.num_invocations_)
+        return false;
+    const std::uint64_t chunk = pos / r.chunk_capacity_;
+    region_->touchChunk(chunk);
+    const unsigned char* base = r.map_ + r.chunks_off_ +
+        chunk * ftrace::chunkStride(r.chunk_capacity_);
+    arrivals_ = base + 8;
+    functions_ = base + 8 + std::uint64_t{r.chunk_capacity_} * 8;
+    chunk_begin_ = chunk * r.chunk_capacity_;
+    chunk_end_ =
+        std::min(chunk_begin_ + r.chunk_capacity_, r.num_invocations_);
+    return true;
+}
+
 bool FtraceCursor::peek(Invocation& out)
 {
-    return region_->load(pos_.load(std::memory_order_relaxed), out);
+    const std::uint64_t pos = pos_.load(std::memory_order_relaxed);
+    // Positions only move forward between resets, and reset() empties
+    // the cache, so leaving the cached chunk means passing its end.
+    if (pos >= chunk_end_ && !enterChunk(pos))
+        return false;
+    const std::uint64_t off = pos - chunk_begin_;
+    out.arrival_us = loadI64(arrivals_ + off * 8);
+    out.function = loadU32(functions_ + off * 4);
+    return true;
 }
 
 bool FtraceCursor::next(Invocation& out)
 {
     const std::uint64_t pos = pos_.load(std::memory_order_relaxed);
-    if (!region_->load(pos, out))
+    if (!peek(out))
         return false;
     pos_.store(pos + 1, std::memory_order_release);
     // Crossing a chunk boundary: try to hand fully consumed chunks back
     // to the kernel so resident memory stays O(chunk) regardless of the
     // trace length. The region only drops chunks every cursor has passed.
-    if ((pos + 1) % region_->chunkCapacity() == 0)
+    if (pos + 1 == chunk_begin_ + region_->chunk_capacity_)
         region_->releaseConsumed();
     return true;
 }
 
-void FtraceCursor::reset() { pos_.store(0, std::memory_order_release); }
+void FtraceCursor::reset()
+{
+    pos_.store(0, std::memory_order_release);
+    chunk_begin_ = 0;
+    chunk_end_ = 0;
+}
 
 // ---------------------------------------------------------------------------
 // Facade

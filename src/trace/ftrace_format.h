@@ -187,6 +187,10 @@ class FtraceRegion : public std::enable_shared_from_this<FtraceRegion>
     /** New independent cursor at position 0 over this mapping. */
     std::unique_ptr<FtraceCursor> makeCursor();
 
+    /** Chunks handed back to the kernel so far: the release watermark
+     *  (tests and introspection). */
+    std::uint64_t releasedChunks() const;
+
   private:
     friend class FtraceCursor;
 
@@ -196,8 +200,6 @@ class FtraceRegion : public std::enable_shared_from_this<FtraceRegion>
                            const std::string& problem) const;
     /** Validate chunks [verified, chunk] (thread-safe, lazy). */
     void touchChunk(std::uint64_t chunk);
-    /** Row `pos` of the columns; false past the end. */
-    bool load(std::uint64_t pos, Invocation& out);
     /** Release chunks every registered cursor has passed. */
     void releaseConsumed();
     void registerCursor(const FtraceCursor* cursor);
@@ -223,7 +225,7 @@ class FtraceRegion : public std::enable_shared_from_this<FtraceRegion>
     TimeUs verified_tail_arrival_ = 0;
 
     /** Guards the cursor registry and the release watermark. */
-    std::mutex cursors_mutex_;
+    mutable std::mutex cursors_mutex_;
     std::vector<const FtraceCursor*> cursors_;
     /** Chunks [0, released_chunks_) have been madvised away. */
     std::uint64_t released_chunks_ = 0;
@@ -236,6 +238,10 @@ class FtraceRegion : public std::enable_shared_from_this<FtraceRegion>
  * how the sharded cluster fans one mapping out to N shard threads).
  * Keeps the region alive; registers itself so the region's release
  * watermark never overtakes it.
+ *
+ * The cursor caches the column pointers of the chunk it is in, so a
+ * peek or next inside a verified chunk is two loads: the chunk is
+ * located and verified (touchChunk) only when the cursor enters it.
  */
 class FtraceCursor final : public InvocationSource
 {
@@ -262,9 +268,20 @@ class FtraceCursor final : public InvocationSource
   private:
     friend class FtraceRegion;
 
+    /** Point the chunk cache at the chunk holding `pos`, verifying it
+     *  on first touch; false past the end of the trace. */
+    bool enterChunk(std::uint64_t pos);
+
     std::shared_ptr<FtraceRegion> region_;
     /** Atomic: read by the region's release scan from other threads. */
     std::atomic<std::uint64_t> pos_{0};
+
+    /** Cached columns of the current (verified) chunk, which holds
+     *  positions [chunk_begin_, chunk_end_); empty after reset(). */
+    const unsigned char* arrivals_ = nullptr;
+    const unsigned char* functions_ = nullptr;
+    std::uint64_t chunk_begin_ = 0;
+    std::uint64_t chunk_end_ = 0;
 };
 
 /**

@@ -27,11 +27,16 @@
 #include "trace/invocation_source.h"
 #include "trace/trace.h"
 #include "util/audit.h"
+#include "util/checkpoint_journal.h"
 
 #include "cluster_split_oracle.h"
 
 namespace faascache {
 namespace {
+
+/** fnv1a64 of the stormConfig() payload (see
+ *  BreakerStormWithPartitionCrashAndOomIsExact). */
+constexpr std::uint64_t kStormPayloadDigest = 0x5133526cc949838fULL;
 
 AzureModelConfig
 workloadConfig()
@@ -433,6 +438,77 @@ TEST(ClusterShard, CrossShardFailoverIsShardCountInvariant)
         other.shards = shards;
         EXPECT_EQ(payloadFor(other), oracle)
             << "cross-shard failover diverged at shards " << shards;
+    }
+    EXPECT_EQ(audit.violationCount(), 0) << audit.report();
+}
+
+// --- Phase A settles exactly the servers that can have changed. ----
+
+/** A fleet mostly at rest between bursts of trouble: a spawn-failure
+ *  storm that opens breakers, a partition, a crash with its restart,
+ *  and two OOM kills, with failover mail between servers. */
+ClusterConfig
+stormConfig()
+{
+    ClusterConfig config = baseConfig(8);
+    config.balancing = LoadBalancing::FunctionHash;
+    config.server.cores = 1;
+    config.faults.spawn_failure_prob = 0.55;
+    config.faults.spawn_retry_delay_us = 400 * kMillisecond;
+    config.faults.partitions.push_back(
+        PartitionWindow{3, 4 * kMinute, 9 * kMinute});
+    config.faults.crashes.push_back(
+        CrashEvent{5, 6 * kMinute, 2 * kMinute});
+    config.faults.oom_kills.push_back(OomKillEvent{1, 10 * kMinute});
+    config.faults.oom_kills.push_back(OomKillEvent{6, 14 * kMinute});
+    config.failover.shed_queue_depth = 3;
+    config.failover.retry_budget.ratio = 0.5;
+    config.failover.retry_budget.burst = 16.0;
+    config.failover.breaker.failure_threshold = 3;
+    config.failover.breaker.open_duration_us = 20 * kSecond;
+    return config;
+}
+
+TEST(ClusterShard, BreakerStormWithPartitionCrashAndOomIsExact)
+{
+    // Phase A skips a server until it is due: its next own event, any
+    // settle (dispatch, delivered mail, crash, restart, OOM kill), or
+    // every window while its breaker is not Closed. Breakers here open
+    // and half-open many times, so both the "not Closed" and the
+    // "mail marks the target due" branches run. The digest below is of
+    // the payload of an engine that settles every server every window,
+    // so a skipped settle that mattered would change it.
+    ClusterConfig config = stormConfig();
+    Auditor audit(AuditMode::On);
+    config.server.audit = &audit;
+
+    config.shards = 1;
+    const ClusterResult single =
+        runCluster(azureWorkload(), PolicyKind::GreedyDual, config);
+    EXPECT_GT(single.breaker_opens, 2) << "the storm must open breakers";
+    EXPECT_GT(single.breaker_probes, 0);
+    EXPECT_GT(single.failovers, 0) << "failover mail must flow";
+    EXPECT_GT(single.partition_unreachable, 0);
+    std::int64_t crashes = 0;
+    std::int64_t restarts = 0;
+    std::int64_t oom_kills = 0;
+    for (const PlatformResult& server : single.servers) {
+        crashes += server.robustness.crashes;
+        restarts += server.robustness.restarts;
+        oom_kills += server.robustness.oom_kills;
+    }
+    EXPECT_EQ(crashes, 1);
+    EXPECT_EQ(restarts, 1);
+    EXPECT_GT(oom_kills, 0);
+
+    const std::string oracle =
+        encodeClusterCheckpointPayload("cell", single);
+    EXPECT_EQ(fnv1a64(oracle), kStormPayloadDigest);
+    for (const std::size_t shards : {2u, 4u}) {
+        ClusterConfig other = config;
+        other.shards = shards;
+        EXPECT_EQ(payloadFor(other), oracle)
+            << "storm run diverged at shards " << shards;
     }
     EXPECT_EQ(audit.violationCount(), 0) << audit.report();
 }

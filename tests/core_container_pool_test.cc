@@ -320,6 +320,51 @@ TEST_P(ContainerPoolTest, ReserveIsBehaviorNeutral)
     EXPECT_EQ(pool.countOf(0), 1u);
 }
 
+TEST_P(ContainerPoolTest, NeverSeenFunctionsAreEmpty)
+{
+    ContainerPool pool = makePool(1000);
+    pool.reserve(16, 8);
+    pool.add(fn(3, 100), 0);
+    const ContainerPool& view = pool;
+    for (FunctionId f : {FunctionId{0}, FunctionId{7}, FunctionId{8},
+                         FunctionId{1u << 30}}) {
+        EXPECT_EQ(pool.findIdleWarm(f), nullptr) << f;
+        EXPECT_EQ(view.countOf(f), 0u) << f;
+        EXPECT_TRUE(view.containersOf(f).empty()) << f;
+    }
+    EXPECT_EQ(view.countOf(3), 1u);
+}
+
+TEST_P(ContainerPoolTest, FunctionIdsGrowPastTheReserveHint)
+{
+    // Functions first seen out of id order and far beyond the hint keep
+    // exact per-function state, and the deep audit stays clean.
+    ContainerPool pool = makePool(100'000);
+    pool.reserve(16, 4);
+    Auditor audit;
+    const FunctionId ids[] = {900, 2, 40'000, 5, 900, 2};
+    std::vector<ContainerId> made;
+    TimeUs t = 0;
+    for (FunctionId f : ids)
+        made.push_back(pool.add(fn(f, 10), t++).id());
+    EXPECT_EQ(pool.countOf(900), 2u);
+    EXPECT_EQ(pool.countOf(2), 2u);
+    EXPECT_EQ(pool.countOf(40'000), 1u);
+    EXPECT_EQ(pool.countOf(5), 1u);
+    EXPECT_EQ(pool.countOf(41), 0u);
+    // Warmest first: the later of function 900's two containers.
+    ASSERT_NE(pool.findIdleWarm(900), nullptr);
+    EXPECT_EQ(pool.findIdleWarm(900)->id(), made[4]);
+    pool.findIdleWarm(40'000)->startInvocation(t, t + 5);
+    EXPECT_EQ(pool.findIdleWarm(40'000), nullptr);
+    EXPECT_EQ(pool.countOf(40'000), 1u);
+    pool.remove(made[1]);
+    EXPECT_EQ(pool.countOf(2), 1u);
+    EXPECT_EQ(pool.findIdleWarm(2)->id(), made[5]);
+    pool.auditInvariants(audit, t);
+    EXPECT_EQ(audit.violationCount(), 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, ContainerPoolTest,
                          ::testing::Values(PoolBackend::Slab,
                                            PoolBackend::ReferenceMap),

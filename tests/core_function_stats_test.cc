@@ -46,6 +46,25 @@ TEST(FunctionStats, ResetUnknownFunctionIsNoop)
     EXPECT_EQ(table.size(), 0u);
 }
 
+TEST(FunctionStats, NeverSeenFunctionsReadZeroAndIdsGrowPastTheHint)
+{
+    FunctionStatsTable table;
+    table.reserve(4);
+    table.recordArrival(2, 10);
+    table.recordArrival(5000, 20);  // far past the reserve hint
+    const FunctionStatsTable& view = table;
+    EXPECT_EQ(view.of(5000).frequency, 1);
+    EXPECT_EQ(view.of(5000).last_arrival_us, 20);
+    EXPECT_EQ(view.of(2).last_arrival_us, 10);
+    // Ids never recorded, inside and beyond the grown range, read zero
+    // and are not counted as observed.
+    EXPECT_EQ(view.of(3).frequency, 0);
+    EXPECT_EQ(view.of(3).last_arrival_us, -1);
+    EXPECT_EQ(view.of(1u << 30).total_invocations, 0);
+    table.resetFrequency(4999);
+    EXPECT_EQ(table.size(), 2u);
+}
+
 TEST(FunctionStats, IndependentPerFunction)
 {
     FunctionStatsTable table;

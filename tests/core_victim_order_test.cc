@@ -7,11 +7,15 @@
 // helper (TTL in both victim orders), on both pool backends, seeded
 // random pools with mixed busy/idle containers and deliberate ties in
 // every primary key must yield the same victim ids in the same order.
+// Landlord (LND), which charges rent in rounds instead of ranking, has
+// its own battery at the end: its candidates come from the pool walk,
+// and the oracle is the body that started from the id-sorted idle list.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <utility>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -19,6 +23,7 @@
 
 #include "core/container_pool.h"
 #include "core/histogram_policy.h"
+#include "core/landlord_policy.h"
 #include "core/lfu_policy.h"
 #include "core/lru_policy.h"
 #include "core/oracle_policy.h"
@@ -341,6 +346,148 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(poolBackendName(std::get<0>(info.param))) +
             "_" + rankedName(std::get<1>(info.param));
     });
+
+/** LND's selection as it was written over the id-sorted idle list. */
+std::vector<ContainerId>
+landlordOracle(ContainerPool& pool, MemMb needed_mb)
+{
+    constexpr double kEps = 1e-12;
+    std::vector<Container*> idle = pool.idleContainers();
+    std::vector<ContainerId> victims;
+    MemMb freed = 0;
+    while (freed < needed_mb && !idle.empty()) {
+        double delta = std::numeric_limits<double>::infinity();
+        for (const Container* c : idle)
+            delta = std::min(delta, c->credit() / c->memMb());
+        std::vector<Container*> still_solvent;
+        std::vector<Container*> insolvent;
+        for (Container* c : idle) {
+            c->setCredit(c->credit() - delta * c->memMb());
+            if (c->credit() <= kEps) {
+                c->setCredit(0.0);
+                insolvent.push_back(c);
+            } else {
+                still_solvent.push_back(c);
+            }
+        }
+        std::sort(insolvent.begin(), insolvent.end(),
+                  [](const Container* a, const Container* b) {
+                      if (a->lastUsed() != b->lastUsed())
+                          return a->lastUsed() < b->lastUsed();
+                      return a->id() < b->id();
+                  });
+        for (Container* c : insolvent) {
+            if (freed >= needed_mb) {
+                still_solvent.push_back(c);
+                continue;
+            }
+            victims.push_back(c->id());
+            freed += c->memMb();
+        }
+        idle = std::move(still_solvent);
+    }
+    return victims;
+}
+
+/** Every live container's (id, credit), ordered by id. */
+std::vector<std::pair<ContainerId, double>>
+credits(const ContainerPool& pool)
+{
+    std::vector<std::pair<ContainerId, double>> out;
+    pool.forEach([&out](const Container& c) {
+        out.emplace_back(c.id(), c.credit());
+    });
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+class LandlordVictimTest : public ::testing::TestWithParam<PoolBackend>
+{
+};
+
+TEST_P(LandlordVictimTest, PoolWalkEqualsIdSortedOracle)
+{
+    std::size_t pressure_checks = 0;
+    std::size_t multi_victim = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const Trace trace = randomTrace(seed);
+        LandlordPolicy policy;
+        policy.reserveFunctions(trace.functions().size());
+        ContainerPool pool(1024.0 * static_cast<MemMb>(2 + seed % 5),
+                           GetParam());
+        TimeUs now = 0;
+
+        // Run the oracle, restore every credit, run the product: the
+        // victims and every container's credit after the call agree.
+        auto expectSameVictims = [&](MemMb needed_mb) {
+            const auto before = credits(pool);
+            const std::vector<ContainerId> expected =
+                landlordOracle(pool, needed_mb);
+            const auto oracle_after = credits(pool);
+            for (const auto& [id, credit] : before)
+                pool.get(id)->setCredit(credit);
+            const std::vector<ContainerId> actual =
+                policy.selectVictims(pool, needed_mb, now);
+            EXPECT_EQ(actual, expected)
+                << "needed_mb " << needed_mb << " at t=" << now;
+            EXPECT_EQ(credits(pool), oracle_after)
+                << "needed_mb " << needed_mb << " at t=" << now;
+            multi_victim += actual.size() > 1 ? 1 : 0;
+            return actual;
+        };
+        auto evict = [&](ContainerId id) {
+            const Container& c = *pool.get(id);
+            policy.onEviction(c, pool.countOf(c.function()) == 1, now);
+            pool.remove(id);
+        };
+
+        const auto& arrivals = trace.invocations();
+        const std::size_t stop = arrivals.size() * 2 / 3;
+        for (std::size_t i = 0; i < stop; ++i) {
+            now = arrivals[i].arrival_us;
+            const FunctionSpec& spec = trace.function(arrivals[i].function);
+            pool.releaseFinished(now);
+            policy.onInvocationArrival(spec, now);
+            if (Container* warm = pool.findIdleWarm(spec.id)) {
+                warm->startInvocation(now, now + spec.warm_us);
+                policy.onWarmStart(*warm, spec, now);
+                continue;
+            }
+            if (!pool.fits(spec.mem_mb)) {
+                ++pressure_checks;
+                const MemMb short_mb = pool.usedMb() + spec.mem_mb -
+                    pool.capacityMb();
+                for (ContainerId id : expectSameVictims(short_mb))
+                    evict(id);
+                if (!pool.fits(spec.mem_mb))
+                    continue;  // dropped: busy containers hold the memory
+            }
+            Container& cold = pool.add(spec, now);
+            cold.startInvocation(now, now + spec.cold_us);
+            policy.onColdStart(cold, spec, now);
+        }
+
+        // Boundary requests against the final, partly busy pool.
+        EXPECT_TRUE(expectSameVictims(0).empty());
+        EXPECT_TRUE(expectSameVictims(-64).empty());
+        expectSameVictims(1);
+        expectSameVictims(pool.idleMb() / 3);
+        expectSameVictims(pool.idleMb());
+        EXPECT_EQ(expectSameVictims(pool.idleMb() + 1).size(),
+                  pool.idleCount());
+    }
+    EXPECT_GT(pressure_checks, 100u);
+    EXPECT_GT(multi_victim, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothBackends, LandlordVictimTest,
+                         ::testing::Values(PoolBackend::Slab,
+                                           PoolBackend::ReferenceMap),
+                         [](const auto& info) {
+                             return std::string(
+                                 poolBackendName(info.param));
+                         });
 
 }  // namespace
 }  // namespace faascache

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -24,6 +25,7 @@
 #include "trace/trace.h"
 #include "util/checkpoint_journal.h"
 #include "util/journal_mutator.h"
+#include "util/rng.h"
 
 namespace faascache {
 namespace {
@@ -182,6 +184,82 @@ TEST(FtraceRoundTrip, RegionIsSharedAndCursorsAreIndependent)
     {
         FtraceSource reopened(file.path());
         expectStreamsEqual(reopened, trace);
+    }
+}
+
+// The cursor's cached chunk columns: a seeded mix of peek, next and
+// reset must read exactly what a TraceSource over the same trace reads,
+// for a one-invocation chunk, a chunk size that leaves a partial last
+// chunk, and one that divides the trace evenly. The release watermark
+// advances only when next() completes a chunk, to the number of chunks
+// the cursor has consumed, and never moves back after a reset.
+TEST(FtraceCursor, ChunkCacheMatchesTraceSourceAcrossBoundaries)
+{
+    const Trace trace = workload();
+    const std::uint64_t total = trace.invocations().size();
+    ASSERT_GT(total, 200u);
+    std::uint32_t dividing = 0;
+    for (std::uint32_t c = 2; c < 64 && dividing == 0; ++c) {
+        if (total % c == 0)
+            dividing = c;
+    }
+    std::vector<std::uint32_t> capacities = {1, 7, 64};
+    if (dividing != 0)
+        capacities.push_back(dividing);
+    for (std::uint32_t capacity : capacities) {
+        SCOPED_TRACE("chunk capacity " + std::to_string(capacity));
+        TempFtrace file("cursor_cache_" + std::to_string(capacity));
+        compile(trace, file.path(), capacity);
+        std::shared_ptr<FtraceRegion> region =
+            FtraceRegion::open(file.path());
+        ASSERT_EQ(region->chunkCapacity(), capacity);
+        std::unique_ptr<FtraceCursor> cursor = region->makeCursor();
+        TraceSource want(trace);
+
+        Rng rng(0xC0A5E + capacity);
+        std::uint64_t consumed = 0;
+        std::uint64_t released = 0;
+        std::size_t resets = 0;
+        for (int step = 0; step < 6000; ++step) {
+            const std::uint64_t op = rng.uniformInt(1000);
+            Invocation got;
+            Invocation expect;
+            if (op < 4 && consumed > capacity) {
+                cursor->reset();
+                want.reset();
+                consumed = 0;
+                ++resets;
+            } else if (op < 300) {
+                const bool has = want.peek(expect);
+                ASSERT_EQ(cursor->peek(got), has) << "step " << step;
+                if (has) {
+                    EXPECT_EQ(got, expect) << "peek @" << consumed;
+                }
+            } else {
+                const bool has = want.next(expect);
+                ASSERT_EQ(cursor->next(got), has) << "step " << step;
+                if (has) {
+                    EXPECT_EQ(got, expect) << "next @" << consumed;
+                    ++consumed;
+                    if (consumed % capacity == 0)
+                        released = std::max(released, consumed / capacity);
+                }
+            }
+            ASSERT_EQ(region->releasedChunks(), released)
+                << "step " << step << ", consumed " << consumed;
+        }
+        EXPECT_GT(resets, 0u);
+        // Drain to the end: past-the-end peeks and nexts stay false.
+        cursor->reset();
+        Invocation inv;
+        std::uint64_t n = 0;
+        while (cursor->next(inv))
+            ++n;
+        EXPECT_EQ(n, total);
+        EXPECT_FALSE(cursor->peek(inv));
+        EXPECT_FALSE(cursor->next(inv));
+        EXPECT_EQ(region->releasedChunks(),
+                  std::max(released, total / capacity));
     }
 }
 
