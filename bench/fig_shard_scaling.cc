@@ -91,6 +91,34 @@ peakRssMb()
     return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
+/** Write `bytes` to `path`, replacing it. @return false on failure. */
+bool
+writeFileBytes(const std::string& path, const std::string& bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return static_cast<bool>(out.flush());
+}
+
+/** Whether the file at `path` holds exactly `bytes`, compared in 1 MB
+ *  chunks so the file is never resident as a whole. */
+bool
+fileHoldsBytes(const std::string& path, const std::string& bytes)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::vector<char> chunk(1 << 20);
+    std::size_t offset = 0;
+    while (in) {
+        in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+        const auto got = static_cast<std::size_t>(in.gcount());
+        if (got > bytes.size() - offset ||
+            std::memcmp(chunk.data(), bytes.data() + offset, got) != 0)
+            return false;
+        offset += got;
+    }
+    return in.eof() && offset == bytes.size();
+}
+
 struct Row
 {
     std::size_t shards = 0;
@@ -237,8 +265,13 @@ main(int argc, char** argv)
     ShardedWorkload workload;
     workload.make_full = [&region] { return region->makeCursor(); };
 
+    // The first row's payload (about 250 MB on the full workload) is
+    // the reference every later row must match byte for byte. It waits
+    // in a file, not in memory, so it does not inflate later rows'
+    // peak RSS.
+    const std::string reference_path =
+        "/tmp/faascache_shard_scaling.payload";
     std::vector<Row> rows;
-    std::string reference_payload;
     bool identical = true;
     for (std::size_t shards : shard_counts) {
         std::cerr << "fig_shard_scaling: shards=" << shards << "...\n";
@@ -254,10 +287,15 @@ main(int argc, char** argv)
         row.peak_rss_mb = peakRssMb();
         const std::string payload =
             encodeClusterCheckpointPayload("scaling", result);
-        if (reference_payload.empty()) {
-            reference_payload = payload;
+        if (rows.empty()) {
+            if (!writeFileBytes(reference_path, payload)) {
+                std::cerr << "fig_shard_scaling: cannot write "
+                          << reference_path << "\n";
+                std::remove(path.c_str());
+                return 1;
+            }
         } else {
-            row.payload_matches = payload == reference_payload;
+            row.payload_matches = fileHoldsBytes(reference_path, payload);
             identical = identical && row.payload_matches;
         }
         std::fprintf(stderr,
@@ -268,6 +306,7 @@ main(int argc, char** argv)
         rows.push_back(row);
     }
     std::remove(path.c_str());
+    std::remove(reference_path.c_str());
 
     if (out_path.empty()) {
         writeJson(std::cout, smoke, available_cores, invocations,

@@ -82,10 +82,12 @@ ContainerPool::idleCount() const
 void
 ContainerPool::reserve(std::size_t containers, std::size_t functions)
 {
+    released_logged_.reserve(containers);
     if (backend_ == PoolBackend::ReferenceMap) {
         containers_.reserve(containers);
         by_function_.reserve(functions);
         free_ref_slots_.reserve(containers);
+        ref_by_slot_.reserve(containers);
         return;
     }
     const std::size_t chunks = (containers + kChunkSize - 1) / kChunkSize;
@@ -210,9 +212,10 @@ ContainerPool::onContainerIdle(Container& c)
                         "idle hook fired on a container not in the "
                         "Idle state");
     }
+    const std::uint32_t slot = c.pool_slot_;
+    logRelease(slot);
     if (backend_ != PoolBackend::Slab)
         return;
-    const std::uint32_t slot = c.pool_slot_;
     unlinkList(busy_head_, slot);
     insertIdleSorted(c.function(), slot);
 }
@@ -235,14 +238,21 @@ ContainerPool::add(const FunctionSpec& function, TimeUs now, bool prewarmed)
             free_ref_slots_.pop_back();
         } else {
             ++next_ref_slot_;
+            ref_by_slot_.push_back(nullptr);
+            released_logged_.push_back(0);
         }
         ref.bindPool(this, slot);
+        ref_by_slot_[slot] = &ref;
+        logRelease(slot);
         containers_.emplace(id, std::move(container));
         by_function_[function.id].push_back(&ref);
         return ref;
     }
 
     const std::uint32_t slot = acquireSlot();
+    if (slot == released_logged_.size())
+        released_logged_.push_back(0);
+    logRelease(slot);
     Slot& s = slotAt(slot);
     s.container = Container(id, function, now, prewarmed);
     s.container.bindPool(this, slot);
@@ -277,6 +287,7 @@ ContainerPool::remove(ContainerId id)
         if (used_mb_ < 0)
             used_mb_ = 0;  // defend against float drift
         free_ref_slots_.push_back(raw->poolSlot());
+        ref_by_slot_[raw->poolSlot()] = nullptr;
         containers_.erase(it);
         --size_;
         return;
@@ -435,6 +446,22 @@ ContainerPool::auditInvariants(Auditor& audit, TimeUs now) const
                    "walk found " + std::to_string(live) +
                        " live containers, tracked size is " +
                        std::to_string(size_));
+    }
+
+    // Release log: one flagged entry per logged slot, so it never
+    // outgrows the slots handed out.
+    const std::uint32_t slots = slotUpperBound();
+    const auto flagged = static_cast<std::size_t>(std::count(
+        released_logged_.begin(), released_logged_.end(), 1));
+    audit.require(released_logged_.size() == slots &&
+                      flagged == released_.size(),
+                  "pool-release-log", now, -1,
+                  "release log size disagrees with its slot flags");
+    for (const std::uint32_t slot : released_) {
+        audit.require(slot < slots && released_logged_[slot] == 1,
+                      "pool-release-log", now,
+                      static_cast<std::int64_t>(slot),
+                      "release log holds an unflagged slot");
     }
 
     if (backend_ == PoolBackend::ReferenceMap) {

@@ -157,6 +157,40 @@ class ContainerPool
     }
 
     /**
+     * Visit, in log order, every container that went idle since the
+     * last drain and is still live and idle now, then empty the log.
+     *
+     * The pool logs a slot whenever its container goes idle: at
+     * finishInvocation() and at add(), since containers are created
+     * idle. A slot is logged at most once between drains however often
+     * it is released, so the log never exceeds slotUpperBound() even
+     * when nothing drains it. A drain reports whatever container lives
+     * in a logged slot now, so a slot recycled since it was logged
+     * reports its new occupant, and a container busy at the drain is
+     * skipped until its next release logs it again. Greedy-Dual drains
+     * the log at every search to learn which containers became
+     * candidates; other policies leave it alone.
+     *
+     * `fn(Container&)` must not add, remove, start or finish
+     * containers.
+     */
+    template <typename Fn>
+    void drainReleased(Fn&& fn)
+    {
+        for (const std::uint32_t slot : released_) {
+            released_logged_[slot] = 0;
+            Container* c = containerAtSlot(slot);
+            if (c != nullptr && c->idle())
+                fn(*c);
+        }
+        released_.clear();
+    }
+
+    /** Slots in the release log (tests and introspection); never more
+     *  than slotUpperBound(). */
+    std::size_t releaseLogSize() const { return released_.size(); }
+
+    /**
      * Transition every busy container whose invocation completed by
      * `now` to idle.
      * @return Containers released this call, ordered by id.
@@ -180,7 +214,8 @@ class ContainerPool
      * over live containers, live == busy + idle, slab free/busy/idle
      * lists partition the slots, per-function idle lists stay
      * warmest-first and agree with the per-function counts, and the
-     * dense id→slot map round-trips. Reference backend: the id map and
+     * dense id→slot map round-trips, and the release log holds each
+     * flagged slot once. Reference backend: the id map and
      * per-function index agree. O(slots) — call from periodic
      * maintenance, not per event.
      */
@@ -260,6 +295,24 @@ class ContainerPool
         }
     }
 
+    /** The live container in `slot`, or nullptr (either backend). */
+    Container* containerAtSlot(std::uint32_t slot)
+    {
+        if (backend_ == PoolBackend::ReferenceMap)
+            return ref_by_slot_[slot];
+        Slot& s = slotAt(slot);
+        return s.live ? &s.container : nullptr;
+    }
+
+    /** Append `slot` to the release log unless it is already there. */
+    void logRelease(std::uint32_t slot)
+    {
+        if (released_logged_[slot] == 0) {
+            released_logged_[slot] = 1;
+            released_.push_back(slot);
+        }
+    }
+
     /** Drop the dead prefix of the id→slot window (amortized O(1)). */
     void maybeCompactIdWindow();
 
@@ -273,6 +326,12 @@ class ContainerPool
     Auditor* audit_ = nullptr;
     ContainerId next_id_ = 1;
     std::size_t size_ = 0;
+
+    /** Release log (drainReleased): slots whose container went idle
+     *  since the last drain, each once; released_logged_[slot] marks
+     *  membership and is sized to slotUpperBound(). */
+    std::vector<std::uint32_t> released_;
+    std::vector<std::uint8_t> released_logged_;
 
     // --- Slab backend ---
     std::vector<std::unique_ptr<Slot[]>> chunks_;
@@ -289,6 +348,8 @@ class ContainerPool
     // --- ReferenceMap backend ---
     std::unordered_map<ContainerId, std::unique_ptr<Container>> containers_;
     std::unordered_map<FunctionId, std::vector<Container*>> by_function_;
+    /** slot→container, null for free slots (drainReleased lookups). */
+    std::vector<Container*> ref_by_slot_;
     std::uint32_t next_ref_slot_ = 0;
     std::vector<std::uint32_t> free_ref_slots_;
 };

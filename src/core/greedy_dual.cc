@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 
 namespace faascache {
 
@@ -80,12 +79,11 @@ GreedyDualPolicy::touch(Container& container, const FunctionSpec& function)
     assert(cs.size > 0.0);
     container.setPolicyClock(clock_);
     container.setPriority(clock_ + valueTerm(function.id));
-    if (config_.eviction_engine == GdEvictionEngine::LazyHeap) {
-        // Drivers start the invocation before this hook, so busyUntil is
-        // set: the container waits outside the priority heap until then.
-        parkEntry(container, claimSeq(container.poolSlot()));
-        maybeCompact();
-    }
+    // Drivers start the invocation before this hook, so the container
+    // is busy until its release logs it for the next search (a prewarmed
+    // one was logged by the pool's add): retire its entry until then.
+    if (config_.eviction_engine == GdEvictionEngine::LazyHeap)
+        dropEntry(container.poolSlot());
 }
 
 void
@@ -120,18 +118,11 @@ GreedyDualPolicy::containerPriority(const Container& container) const
 }
 
 bool
-GreedyDualPolicy::entryAfter(const HeapEntry& a, const HeapEntry& b)
+GreedyDualPolicy::EntryAfter::operator()(const HeapEntry& a,
+                                         const HeapEntry& b) const
 {
     return TripleLess{}(b.priority, b.last_used, b.id, a.priority,
                         a.last_used, a.id);
-}
-
-bool
-GreedyDualPolicy::parkedAfter(const ParkedEntry& a, const ParkedEntry& b)
-{
-    if (a.busy_until != b.busy_until)
-        return a.busy_until > b.busy_until;
-    return a.id > b.id;
 }
 
 bool
@@ -165,74 +156,47 @@ GreedyDualPolicy::claimSeq(std::uint32_t slot)
 void
 GreedyDualPolicy::pushEntry(const Container& c, std::uint64_t seq)
 {
-    heap_.push_back(HeapEntry{containerPriority(c), c.lastUsed(), c.id(), seq,
-                              c.poolSlot()});
-    std::push_heap(heap_.begin(), heap_.end(), &entryAfter);
+    pushEntry(HeapEntry{containerPriority(c), c.lastUsed(), c.id(), seq,
+                        c.poolSlot()});
 }
 
 void
-GreedyDualPolicy::parkEntry(const Container& c, std::uint64_t seq)
+GreedyDualPolicy::pushEntry(const HeapEntry& e)
 {
-    parked_.push_back(ParkedEntry{c.busyUntil(), c.id(), seq, c.poolSlot()});
-    std::push_heap(parked_.begin(), parked_.end(), &parkedAfter);
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
 }
 
 void
 GreedyDualPolicy::maybeCompact()
 {
-    const std::size_t total = heap_.size() + parked_.size();
-    if (total < 64 || total < 4 * live_entries_)
+    if (heap_.size() < 64 || heap_.size() < 4 * live_entries_)
         return;
     std::erase_if(heap_, [this](const HeapEntry& e) {
         return !isLive(e.slot, e.seq);
     });
-    std::erase_if(parked_, [this](const ParkedEntry& e) {
-        return !isLive(e.slot, e.seq);
-    });
-    std::make_heap(heap_.begin(), heap_.end(), &entryAfter);
-    std::make_heap(parked_.begin(), parked_.end(), &parkedAfter);
-}
-
-void
-GreedyDualPolicy::admitReleased(const ContainerPool& pool, TimeUs now)
-{
-    std::vector<std::pair<const Container*, std::uint64_t>> overdue;
-    while (!parked_.empty()) {
-        const ParkedEntry e = parked_.front();
-        const bool live = isLive(e.slot, e.seq);
-        const Container* c = live ? pool.get(e.id) : nullptr;
-        if (c != nullptr && c->busy() && c->busyUntil() == e.busy_until &&
-            e.busy_until > now) {
-            // Containers go idle no earlier than their busyUntil, and
-            // drivers release every container due by `now` before
-            // searching (bar same-timestamp ties, handled below), so
-            // everything parked behind this entry is still busy.
-            break;
-        }
-        std::pop_heap(parked_.begin(), parked_.end(), &parkedAfter);
-        parked_.pop_back();
-        if (!live)
-            continue;  // superseded or already evicted
-        if (c == nullptr)
-            dropEntry(e.slot);  // removed without onEviction (defensive)
-        else if (c->idle())
-            pushEntry(*c, e.seq);
-        else if (c->busyUntil() != e.busy_until)
-            parkEntry(*c, e.seq);  // restarted without a hook: re-key
-        else
-            overdue.emplace_back(c, e.seq);  // due, Finish not delivered
-    }
-    for (const auto& [c, seq] : overdue)
-        parkEntry(*c, seq);
+    std::make_heap(heap_.begin(), heap_.end(), EntryAfter{});
 }
 
 std::vector<ContainerId>
 GreedyDualPolicy::selectVictims(ContainerPool& pool, MemMb needed_mb,
-                                TimeUs now)
+                                TimeUs)
 {
     if (config_.eviction_engine == GdEvictionEngine::SortReference)
         return selectVictimsSort(pool, needed_mb);
-    admitReleased(pool, now);
+    // The last search's proposals the driver declined are still idle
+    // (a use or an eviction would have retired their entries).
+    for (const HeapEntry& e : held_) {
+        if (isLive(e.slot, e.seq))
+            pushEntry(e);
+    }
+    held_.clear();
+    // Containers that went idle since the last search become candidates
+    // under their current key; a fresh seq supersedes any older entry.
+    pool.drainReleased([this](const Container& c) {
+        pushEntry(c, claimSeq(c.poolSlot()));
+    });
+    maybeCompact();
     return selectVictimsHeap(pool, needed_mb);
 }
 
@@ -280,11 +244,10 @@ GreedyDualPolicy::selectVictimsHeap(ContainerPool& pool, MemMb needed_mb)
         std::max(needed_mb, config_.batch_free_mb - pool.freeMb());
 
     std::vector<ContainerId> victims;
-    std::vector<std::pair<const Container*, std::uint64_t>> selected;
     MemMb freed = 0;
     double max_evicted_priority = clock_;
     while (freed < target && !heap_.empty()) {
-        std::pop_heap(heap_.begin(), heap_.end(), &entryAfter);
+        std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
         const HeapEntry e = heap_.back();
         heap_.pop_back();
         if (!isLive(e.slot, e.seq))
@@ -296,9 +259,9 @@ GreedyDualPolicy::selectVictimsHeap(ContainerPool& pool, MemMb needed_mb)
             continue;
         }
         if (c->busy()) {
-            // Restarted without a hook since admission: not a candidate
-            // until it is released again.
-            parkEntry(*c, e.seq);
+            // Restarted without a hook since it was pushed: not a
+            // candidate until its release logs it again.
+            dropEntry(e.slot);
             continue;
         }
         const double current = containerPriority(*c);
@@ -315,16 +278,15 @@ GreedyDualPolicy::selectVictimsHeap(ContainerPool& pool, MemMb needed_mb)
         // is exactly the sort engine's next victim.
         c->setPriority(current);
         victims.push_back(e.id);
-        selected.emplace_back(c, e.seq);
+        held_.push_back(e);
         freed += c->memMb();
         max_evicted_priority = std::max(max_evicted_priority, current);
     }
     // Victims are only *proposed*: the driver declines them (dropping
-    // the request) when even this best effort cannot cover needed_mb.
-    // Re-insert everything popped; an actual eviction invalidates the
-    // entry through onEviction.
-    for (const auto& [c, seq] : selected)
-        pushEntry(*c, seq);
+    // the request) when even this best effort cannot cover needed_mb,
+    // and resize evicts only a prefix. held_ keeps them until the next
+    // search, which re-pushes those whose entry onEviction did not
+    // retire.
     if (freed >= needed_mb && !victims.empty())
         clock_ = max_evicted_priority;
     return victims;

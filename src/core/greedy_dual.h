@@ -28,21 +28,20 @@
  *  - SortReference re-sorts every idle container on each eviction round
  *    — the original implementation, O(n log n) per round, kept as the
  *    conformance oracle;
- *  - LazyHeap (default) ranks idle containers only. A use parks the
- *    (now busy) container in a second min-heap keyed by busyUntil; a
- *    search first admits parked containers that have gone idle into the
- *    priority min-heap of (priority, lastUsed, id) snapshots, stopping
- *    at the first live container still busy past `now`. That stop is
- *    exact because a container goes idle no earlier than its busyUntil
- *    and every driver releases all containers due by `now` before it
- *    searches (Simulator::advanceTo releases up to the arrival by
- *    popping its (busyUntil, id) finish schedule, even for background
- *    reclaim at an earlier instant; Server releases in the Finish event
- *    at busyUntil; crashes and OOM kills evict at once).
- *    The only lag is a same-timestamp Finish not yet delivered, so a
- *    busy container due by `now` is set aside rather than stopped at.
- *    Priority-heap entries are re-keyed on pop when stale, so a round
- *    costs O(k log n) for k popped entries over idle containers only.
+ *  - LazyHeap (default) ranks idle containers only, in a min-heap of
+ *    (priority, lastUsed, id) snapshots. It learns which containers
+ *    became candidates from the pool's release log
+ *    (ContainerPool::drainReleased): a search first pushes every
+ *    container logged idle since the last search under a fresh entry,
+ *    and a use only retires the container's entry, because the
+ *    container is busy until its release logs it again. So the heap
+ *    holds a live entry for exactly the containers idle at the search,
+ *    whatever the driver's release order or timing. Entries are
+ *    re-keyed on pop when stale, so a round costs O(k log n) for k
+ *    popped entries over idle containers only. Proposed victims are
+ *    held aside with their exact keys rather than pushed back: most
+ *    are evicted, which retires them, and the rest return to the heap
+ *    at the next search if their entry is still live.
  *    The two engines select identical victim sequences: a live
  *    container's priority triple never decreases (its clock snapshot is
  *    fixed until re-use, frequency is monotone while the function has
@@ -50,9 +49,9 @@
  *    heap key is a lower bound of its container's current triple and
  *    the first popped entry whose key still matches its current triple
  *    is the exact minimum. A per-slot sequence number marks each
- *    container's one live entry across both heaps; superseded entries
- *    are skipped on pop and compacted away on use once they make up
- *    three quarters of both heaps.
+ *    container's one live entry; superseded entries are skipped on pop
+ *    and compacted away at a search once they make up three quarters
+ *    of the heap.
  */
 #ifndef FAASCACHE_CORE_GREEDY_DUAL_H_
 #define FAASCACHE_CORE_GREEDY_DUAL_H_
@@ -147,9 +146,9 @@ class GreedyDualPolicy : public KeepAlivePolicy
      */
     double priorityOf(const FunctionSpec& function) const;
 
-    /** Parked and priority heap entries together, stale included
-     *  (tests and introspection). */
-    std::size_t heapSize() const { return heap_.size() + parked_.size(); }
+    /** Priority-heap entries plus proposals held aside since the last
+     *  search, stale included (tests and introspection). */
+    std::size_t heapSize() const { return heap_.size() + held_.size(); }
 
   private:
     /** Frequency x cost / size term for `function` under the current
@@ -183,18 +182,13 @@ class GreedyDualPolicy : public KeepAlivePolicy
         std::uint32_t slot;
     };
 
-    /** A container parked while busy, keyed by its busyUntil. */
-    struct ParkedEntry
+    /** Heap comparator: a ordered after b (std::*_heap min-heap). A
+     *  function object rather than a function pointer, so the heap
+     *  algorithms inline it. */
+    struct EntryAfter
     {
-        TimeUs busy_until;
-        ContainerId id;
-        std::uint64_t seq;
-        std::uint32_t slot;
+        bool operator()(const HeapEntry& a, const HeapEntry& b) const;
     };
-
-    /** Heap comparators: a ordered after b (std::*_heap min-heaps). */
-    static bool entryAfter(const HeapEntry& a, const HeapEntry& b);
-    static bool parkedAfter(const ParkedEntry& a, const ParkedEntry& b);
 
     /** Whether `seq` is the live entry of pool slot `slot`. */
     bool isLive(std::uint32_t slot, std::uint64_t seq) const;
@@ -208,14 +202,10 @@ class GreedyDualPolicy : public KeepAlivePolicy
     /** Push `c` under live seq `seq` into the priority heap. */
     void pushEntry(const Container& c, std::uint64_t seq);
 
-    /** Push `c` under live seq `seq` into the parked heap. */
-    void parkEntry(const Container& c, std::uint64_t seq);
+    /** Push a snapshot taken earlier (a held-aside proposal). */
+    void pushEntry(const HeapEntry& e);
 
-    /** Move parked containers that have gone idle by `now` into the
-     *  priority heap. */
-    void admitReleased(const ContainerPool& pool, TimeUs now);
-
-    /** Drop superseded entries once they dominate both heaps. */
+    /** Drop superseded entries once they dominate the heap. */
     void maybeCompact();
 
     struct CostSize
@@ -233,10 +223,11 @@ class GreedyDualPolicy : public KeepAlivePolicy
     /** Priority min-heap of idle containers (via std::*_heap with a
      *  greater-than comparator). */
     std::vector<HeapEntry> heap_;
-    /** Busy containers by busyUntil, awaiting admission to heap_. */
-    std::vector<ParkedEntry> parked_;
-    /** Seq of each pool slot's current (non-superseded) entry in either
-     *  heap; zero = none. Indexed by Container::poolSlot(). */
+    /** The last search's proposals, with their exact keys; re-pushed at
+     *  the next search if still live (the driver declined them). */
+    std::vector<HeapEntry> held_;
+    /** Seq of each pool slot's current (non-superseded) entry in heap_
+     *  or held_; zero = none. Indexed by Container::poolSlot(). */
     std::vector<std::uint64_t> entry_seq_;
     /** Number of non-zero entries in entry_seq_ (compaction trigger). */
     std::size_t live_entries_ = 0;

@@ -85,9 +85,11 @@ class KeepAlivePolicy
      * returns the best effort (possibly all idle containers); the driver
      * then drops the request.
      *
-     * Drivers release every container due by `now` before asking; the
-     * only exception is a Finish due at `now` itself that an event-driven
-     * driver has not delivered yet.
+     * The candidates are the containers idle in `pool` at the call,
+     * however the driver timed their releases: an event-driven driver
+     * may ask before delivering a Finish due at `now`, and background
+     * reclaim may ask at an instant earlier than releases it already
+     * delivered. No policy assumes more.
      *
      * The pool is non-const because some policies (Landlord) update
      * per-container bookkeeping while deciding.

@@ -71,6 +71,7 @@ Simulator::initCommon()
 {
     source_->reset();
     result_.policy_name = policy_->name();
+    resource_conserving_ = policy_->resourceConserving();
     result_.memory_mb = config_.memory_mb;
     result_.per_function.resize(functions_->size());
     // Allocation hints: size dense per-function tables from the catalog.
@@ -127,9 +128,9 @@ void
 Simulator::advanceTo(TimeUs t)
 {
     sampleMemory(t);
-    // Release everything due by t before any policy search at or before
-    // t (background reclaim below searches at earlier instants): Greedy-
-    // Dual's busy-container admission relies on it.
+    // Release everything due by t first: background reclaim below
+    // searches at earlier instants but, like every search, ranks the
+    // containers idle in the pool as it stands.
     while (!finishes_.empty() && finishes_.top().first <= t) {
         Container* c = pool_.get(finishes_.top().second);
         assert(c != nullptr && c->busy());
@@ -139,9 +140,13 @@ Simulator::advanceTo(TimeUs t)
 
     // Expire leases before performing prewarms: a container released at
     // its expiry must not satisfy the skip-if-already-warm check of a
-    // prewarm scheduled for a later instant.
-    for (ContainerId id : policy_->expiredContainers(pool_, t))
-        evict(id, t, /*expired=*/true);
+    // prewarm scheduled for a later instant. A resource-conserving
+    // policy promises that expiredContainers() and duePrewarms() return
+    // {} and change no state, so skipping both is exact.
+    if (!resource_conserving_) {
+        for (ContainerId id : policy_->expiredContainers(pool_, t))
+            evict(id, t, /*expired=*/true);
+    }
 
     // Background reclamation keeps a free-memory reserve so demand
     // evictions stay off the invocation fast path (§6 future work).
@@ -157,6 +162,8 @@ Simulator::advanceTo(TimeUs t)
         }
     });
 
+    if (resource_conserving_)
+        return;
     if (config_.enable_prewarm) {
         for (FunctionId fn : policy_->duePrewarms(t)) {
             const FunctionSpec& spec = (*functions_)[fn];

@@ -8,9 +8,11 @@
  *  1. running containers whose invocations completed become idle (the
  *     simulator's own finish schedule releases them, see
  *     scheduledFinishes());
- *  2. prewarms requested by the policy (HIST) are performed if memory
- *     allows and no idle warm container already exists;
- *  3. containers whose keep-alive lease expired are terminated;
+ *  2. containers whose keep-alive lease expired are terminated;
+ *  3. prewarms requested by the policy (HIST) are performed if memory
+ *     allows and no idle warm container already exists (steps 2 and 3
+ *     are skipped under a resourceConserving() policy, which promises
+ *     they do nothing);
  *  4. the policy is notified of the arrival;
  *  5. a warm idle container, if any, serves the invocation (warm start);
  *     otherwise the policy selects idle victims to free memory and a new
@@ -172,6 +174,10 @@ class Simulator
     ContainerPool pool_;
     SimResult result_;
 
+    /** policy_->resourceConserving(), read once: when true, advanceTo
+     *  skips the expiry and prewarm calls. */
+    bool resource_conserving_ = false;
+
     /** Arrival of the last consumed invocation (online sorted check). */
     TimeUs last_arrival_ = 0;
 
@@ -188,7 +194,8 @@ class Simulator
      * turns busy and advanceTo() pops due entries to release them; evict()
      * only removes idle containers, so no entry ever goes stale. Release
      * order is unobservable: the pool keeps idle containers in a strict
-     * total order and policies are not told about releases.
+     * total order, and Greedy-Dual, which reads releases from the pool's
+     * log, ranks what it reads by a strict total order too.
      */
     using FinishEntry = std::pair<TimeUs, ContainerId>;
     std::priority_queue<FinishEntry, std::vector<FinishEntry>,

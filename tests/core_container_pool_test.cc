@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
+
+#include "core/ttl_policy.h"
+#include "sim/simulator.h"
+#include "trace/azure_model.h"
 
 namespace faascache {
 namespace {
@@ -362,6 +367,97 @@ TEST_P(ContainerPoolTest, FunctionIdsGrowPastTheReserveHint)
     EXPECT_EQ(pool.countOf(2), 1u);
     EXPECT_EQ(pool.findIdleWarm(2)->id(), made[5]);
     pool.auditInvariants(audit, t);
+    EXPECT_EQ(audit.violationCount(), 0);
+}
+
+/** Ids of the containers one drainReleased() call visits, in order. */
+std::vector<ContainerId>
+drain(ContainerPool& pool)
+{
+    std::vector<ContainerId> seen;
+    pool.drainReleased([&seen](const Container& c) {
+        EXPECT_TRUE(c.idle());
+        seen.push_back(c.id());
+    });
+    return seen;
+}
+
+TEST_P(ContainerPoolTest, ReleaseLogHoldsASlotOnceHoweverOftenReleased)
+{
+    ContainerPool pool = makePool(1000);
+    Container& c = pool.add(fn(0, 100), 0);  // created idle: logged
+    for (TimeUs t = 1; t <= 3; ++t) {
+        c.startInvocation(t * 10, t * 10 + 5);
+        c.finishInvocation();
+    }
+    EXPECT_EQ(pool.releaseLogSize(), 1u);
+    EXPECT_EQ(drain(pool), std::vector<ContainerId>{c.id()});
+    EXPECT_EQ(pool.releaseLogSize(), 0u);
+    EXPECT_TRUE(drain(pool).empty());
+    // A drain clears the slot's mark, so the next release logs it anew.
+    c.startInvocation(100, 105);
+    c.finishInvocation();
+    c.startInvocation(200, 205);
+    c.finishInvocation();
+    EXPECT_EQ(drain(pool), std::vector<ContainerId>{c.id()});
+}
+
+TEST_P(ContainerPoolTest, ReleaseLogReportsARecycledSlotsNewOccupant)
+{
+    ContainerPool pool = makePool(1000);
+    Container& a = pool.add(fn(0, 100), 0);
+    const std::uint32_t slot = a.poolSlot();
+    const ContainerId a_id = a.id();
+    pool.remove(a_id);
+    Container& b = pool.add(fn(1, 100), 5);
+    ASSERT_EQ(b.poolSlot(), slot);
+    EXPECT_EQ(pool.releaseLogSize(), 1u);
+    EXPECT_EQ(drain(pool), std::vector<ContainerId>{b.id()});
+    // A logged slot whose container is gone reports nothing.
+    Container& c = pool.add(fn(2, 100), 6);
+    pool.remove(c.id());
+    EXPECT_TRUE(drain(pool).empty());
+}
+
+TEST_P(ContainerPoolTest, ReleaseLogSkipsBusyThenReportsNextRelease)
+{
+    ContainerPool pool = makePool(1000);
+    Container& a = pool.add(fn(0, 100), 0);
+    Container& b = pool.add(fn(1, 100), 0);
+    a.startInvocation(1, 50);  // busy at the drain
+    EXPECT_EQ(drain(pool), std::vector<ContainerId>{b.id()});
+    a.finishInvocation();
+    EXPECT_EQ(drain(pool), std::vector<ContainerId>{a.id()});
+    EXPECT_TRUE(drain(pool).empty());
+}
+
+TEST_P(ContainerPoolTest, ReleaseLogStaysWithinSlotsWhenNeverDrained)
+{
+    // TTL never drains the log; a busy replay must keep it within the
+    // slots handed out, with the audit's view of it consistent.
+    AzureModelConfig model;
+    model.seed = 3;
+    model.num_functions = 80;
+    model.duration_us = 20 * kMinute;
+    model.iat_median_sec = 60.0;
+    const Trace trace = generateAzureTrace(model);
+    SimulatorConfig config;
+    config.memory_mb = 3000;
+    config.pool_backend = GetParam();
+    Simulator sim(trace, std::make_unique<TtlPolicy>(20 * kSecond), config);
+    std::size_t steps = 0;
+    while (!sim.done()) {
+        sim.step();
+        ++steps;
+        ASSERT_LE(sim.pool().releaseLogSize(), sim.pool().slotUpperBound());
+    }
+    EXPECT_GT(steps, 10 * static_cast<std::size_t>(
+                             sim.pool().slotUpperBound()));
+    EXPECT_GT(sim.pool().releaseLogSize(), 0u);
+    EXPECT_GT(sim.result().expirations, 0);
+    EXPECT_GT(sim.result().evictions, 0);
+    Auditor audit;
+    sim.pool().auditInvariants(audit, sim.now());
     EXPECT_EQ(audit.violationCount(), 0);
 }
 

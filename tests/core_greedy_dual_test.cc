@@ -689,5 +689,106 @@ TEST(GdAdmission, ResizeBelowIdleMemoryMatchesOracle)
     }
 }
 
+// ---------------------------------------------------------------------------
+// The heap engine learns candidates from the pool's release log and holds
+// its proposals aside until the next search; both pool backends.
+
+class GdReleaseLog : public ::testing::TestWithParam<PoolBackend>
+{
+};
+
+TEST_P(GdReleaseLog, PrewarmedIdleContainerRanksAsSortReference)
+{
+    // A prewarmed container never runs, so only the pool's add logs it;
+    // cheapest to restart, it is the first victim under both engines.
+    const FunctionSpec cheap = fn(0, 100, 500, 1000);   // value 0.01
+    const FunctionSpec mid = fn(1, 100, 500, 3000);     // value 0.03
+    const FunctionSpec costly = fn(2, 100, 500, 5000);  // value 0.05
+    std::vector<std::vector<ContainerId>> runs;
+    ContainerId prewarmed_id = kInvalidContainer;
+    for (const GdEvictionEngine engine :
+         {GdEvictionEngine::LazyHeap, GdEvictionEngine::SortReference}) {
+        ContainerPool pool(10'000, GetParam());
+        auto policy = gd({}, engine);
+        for (const FunctionSpec& f : {mid, costly}) {
+            policy->onInvocationArrival(f, 0);
+            Container& c = pool.add(f, 0);
+            c.startInvocation(0, f.cold_us);
+            policy->onColdStart(c, f, 0);
+            c.finishInvocation();
+        }
+        // A search before the prewarm drains the log once.
+        std::vector<ContainerId> victims =
+            policy->selectVictims(pool, 1e9, kSecond);
+        Container& p = pool.add(cheap, 2 * kSecond, /*prewarmed=*/true);
+        policy->onPrewarm(p, cheap, 2 * kSecond);
+        prewarmed_id = p.id();
+        for (const MemMb needed : {100.0, 1e9}) {
+            const auto more = policy->selectVictims(pool, needed, 3 * kSecond);
+            victims.insert(victims.end(), more.begin(), more.end());
+        }
+        runs.push_back(victims);
+    }
+    EXPECT_EQ(runs[0], runs[1]);
+    ASSERT_EQ(runs[0].size(), 6u);  // 2 declined, then 1, then all 3
+    EXPECT_EQ(runs[0][2], prewarmed_id);
+    EXPECT_EQ(runs[0][3], prewarmed_id);
+}
+
+TEST_P(GdReleaseLog, DeclinedProposalReusedBeforeNextSearchIsNotRePushed)
+{
+    const FunctionSpec a = fn(0, 100, 500, 2000);  // value 0.02
+    const FunctionSpec b = fn(1, 100, 500, 5000);  // value 0.05
+    const FunctionSpec c = fn(2, 100, 500, 1000);  // value 0.01
+    std::vector<std::vector<ContainerId>> searches[2];
+    std::size_t heap_size_after_second = 0;
+    for (const GdEvictionEngine engine :
+         {GdEvictionEngine::LazyHeap, GdEvictionEngine::SortReference}) {
+        const bool lazy = engine == GdEvictionEngine::LazyHeap;
+        std::vector<std::vector<ContainerId>>& mine = searches[lazy ? 0 : 1];
+        ContainerPool pool(10'000, GetParam());
+        auto policy = gd({}, engine);
+        const auto cold = [&](const FunctionSpec& f, TimeUs now) {
+            policy->onInvocationArrival(f, now);
+            Container& x = pool.add(f, now);
+            x.startInvocation(now, now + f.cold_us);
+            policy->onColdStart(x, f, now);
+            x.finishInvocation();
+            return &x;
+        };
+        Container* ca = cold(a, 0);
+        cold(b, 0);
+        // Infeasible: both proposed, none evicted, the clock stays put.
+        mine.push_back(policy->selectVictims(pool, 1e9, kSecond));
+        EXPECT_EQ(policy->clock(), 0.0);
+        // The declined A is reused before the next search.
+        policy->onInvocationArrival(a, 2 * kSecond);
+        ca->startInvocation(2 * kSecond, 2 * kSecond + a.warm_us);
+        policy->onWarmStart(*ca, a, 2 * kSecond);
+        ca->finishInvocation();
+        cold(c, 3 * kSecond);
+        mine.push_back(policy->selectVictims(pool, 100, 4 * kSecond));
+        if (lazy)
+            heap_size_after_second = policy->heapSize();
+        // B, declined and never reused, is a candidate again.
+        mine.push_back(policy->selectVictims(pool, 1e9, 5 * kSecond));
+    }
+    EXPECT_EQ(searches[0], searches[1]);
+    ASSERT_EQ(searches[0].size(), 3u);
+    EXPECT_EQ(searches[0][1].size(), 1u);
+    EXPECT_EQ(searches[0][2].size(), 3u);
+    // A and B in the heap, C held aside: A's declined entry from the
+    // first search was retired by its reuse and must not come back.
+    EXPECT_EQ(heap_size_after_second, 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, GdReleaseLog,
+                         ::testing::Values(PoolBackend::Slab,
+                                           PoolBackend::ReferenceMap),
+                         [](const auto& info) {
+                             return std::string(
+                                 poolBackendName(info.param));
+                         });
+
 }  // namespace
 }  // namespace faascache

@@ -495,6 +495,114 @@ TEST(Simulator, PerFunctionOutcomesSumToTotals)
               static_cast<std::int64_t>(t.invocations().size()));
 }
 
+/**
+ * Pass-through wrapper that counts the housekeeping calls the simulator
+ * makes and forwards resourceConserving() only when asked to.
+ */
+class CountingPolicy final : public KeepAlivePolicy
+{
+  public:
+    CountingPolicy(std::unique_ptr<KeepAlivePolicy> inner,
+                   bool forward_conserving, int& housekeeping_calls)
+        : inner_(std::move(inner)), forward_conserving_(forward_conserving),
+          calls_(&housekeeping_calls)
+    {
+    }
+
+    std::string name() const override { return inner_->name(); }
+    bool resourceConserving() const override
+    {
+        return forward_conserving_ && inner_->resourceConserving();
+    }
+    void reserveFunctions(std::size_t n) override
+    {
+        inner_->reserveFunctions(n);
+    }
+    void onInvocationArrival(const FunctionSpec& f, TimeUs now) override
+    {
+        inner_->onInvocationArrival(f, now);
+    }
+    void onWarmStart(Container& c, const FunctionSpec& f,
+                     TimeUs now) override
+    {
+        inner_->onWarmStart(c, f, now);
+    }
+    void onColdStart(Container& c, const FunctionSpec& f,
+                     TimeUs now) override
+    {
+        inner_->onColdStart(c, f, now);
+    }
+    void onPrewarm(Container& c, const FunctionSpec& f, TimeUs now) override
+    {
+        inner_->onPrewarm(c, f, now);
+    }
+    void onEviction(const Container& c, bool last, TimeUs now) override
+    {
+        inner_->onEviction(c, last, now);
+    }
+    std::vector<ContainerId> selectVictims(ContainerPool& pool,
+                                           MemMb needed_mb,
+                                           TimeUs now) override
+    {
+        return inner_->selectVictims(pool, needed_mb, now);
+    }
+    std::vector<ContainerId> expiredContainers(const ContainerPool& pool,
+                                               TimeUs now) override
+    {
+        ++*calls_;
+        return inner_->expiredContainers(pool, now);
+    }
+    std::vector<FunctionId> duePrewarms(TimeUs now) override
+    {
+        ++*calls_;
+        return inner_->duePrewarms(now);
+    }
+
+  private:
+    std::unique_ptr<KeepAlivePolicy> inner_;
+    bool forward_conserving_;
+    int* calls_;
+};
+
+TEST(Simulator, ResourceConservingPolicySkipsHousekeepingExactly)
+{
+    // Greedy-Dual promises that expiry and prewarm calls do nothing, so
+    // the simulator skips them; a wrapper that hides the promise gets
+    // the calls, and both runs agree byte for byte. Background reclaim
+    // and prewarming stay on so every skipped branch is reachable.
+    AzureModelConfig model;
+    model.seed = 4;
+    model.num_functions = 60;
+    model.duration_us = 15 * kMinute;
+    model.iat_median_sec = 10.0;
+    const Trace t = generateAzureTrace(model);
+    SimulatorConfig c = config(600);
+    c.memory_sample_interval_us = kMinute;
+    c.background_reclaim_interval_us = 20 * kSecond;
+    c.background_free_target_mb = 150;
+    for (const PoolBackend backend :
+         {PoolBackend::Slab, PoolBackend::ReferenceMap}) {
+        SCOPED_TRACE(poolBackendName(backend));
+        c.pool_backend = backend;
+        std::vector<SimResult> results;
+        for (const bool forward : {true, false}) {
+            int calls = 0;
+            results.push_back(simulateTrace(
+                t,
+                std::make_unique<CountingPolicy>(
+                    std::make_unique<GreedyDualPolicy>(), forward, calls),
+                c));
+            if (forward)
+                EXPECT_EQ(calls, 0);
+            else
+                EXPECT_GT(calls, 0);
+        }
+        EXPECT_GT(results[0].evictions, 0);
+        EXPECT_GT(results[0].background_reclaims, 0);
+        EXPECT_TRUE(results[0] == results[1]);
+    }
+}
+
 TEST(Simulator, RejectsBadConfig)
 {
     Trace t("t");
