@@ -8,8 +8,6 @@
  * during initialization (cold_start_cpu_slots = 2), the load feedback
  * the paper attributes OpenWhisk's drops to.
  */
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "platform/experiment.h"
@@ -29,20 +27,6 @@ main(int argc, char** argv)
     server.cores = 8;
     server.memory_mb = 1000;
     server.cold_start_cpu_slots = 2;
-
-    // FAASCACHE_PLATFORM_BACKEND=reference replays through the retained
-    // pre-rebuild queue path (the differential oracle); both backends
-    // print byte-identical tables.
-    if (const char* env = std::getenv("FAASCACHE_PLATFORM_BACKEND")) {
-        if (std::strcmp(env, "reference") == 0) {
-            server.platform_backend = PlatformBackend::Reference;
-        } else if (std::strcmp(env, "dense") != 0) {
-            std::cerr << "fig8_server_load: unknown "
-                         "FAASCACHE_PLATFORM_BACKEND '"
-                      << env << "' (want dense|reference)\n";
-            return 1;
-        }
-    }
 
     std::cout << "Figure 8: warm/cold/dropped breakdown, OpenWhisk vs "
                  "FaasCache\n(skewed-frequency FunctionBench workload, "

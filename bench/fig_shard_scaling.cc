@@ -158,8 +158,9 @@ workloadConfig(bool smoke)
     return model;
 }
 
-/** Fleet + armed front end (faults, budget, breakers): the windowed
- *  sharded engine, not the embarrassingly parallel fault-free split. */
+/** Fleet + armed front end (faults, budget, breakers): the sharded
+ *  engine in windows of base_backoff_us, not a fault-free fleet's one
+ *  whole-run window. */
 ClusterConfig
 clusterConfig(bool smoke, TimeUs duration)
 {

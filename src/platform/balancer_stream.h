@@ -7,10 +7,8 @@
  * stream: RoundRobin and FunctionHash depend only on (index, function),
  * and Random is a sequential draw stream seeded by the cluster seed.
  * Every consumer that replays the stream in order therefore assigns
- * identical primaries — the invariant both engine paths are built on:
- * every shard of a windowed run, and every per-server filter pass of
- * the fault-free split, replays the same draws. Internal to
- * src/platform.
+ * identical primaries — the invariant the engine is built on: every
+ * shard replays the same draws. Internal to src/platform.
  */
 #ifndef FAASCACHE_PLATFORM_BALANCER_STREAM_H_
 #define FAASCACHE_PLATFORM_BALANCER_STREAM_H_
@@ -94,107 +92,11 @@ class PrimaryTracker
         return primary_of_[inv.function];
     }
 
-    /** Restart from the first arrival of the stream. */
-    void rewind() { rng_ = Rng(config_->seed); }
-
   private:
     const ClusterConfig* config_;
     Rng rng_;
     /** FunctionHash only: the primary of each catalog function. */
     std::vector<std::uint32_t> primary_of_;
-};
-
-/**
- * The sub-stream server `server` would receive from the balancer: a
- * filter view over the shared source that consumes one balancer draw
- * per inner invocation (in stream order, so every pass replays the
- * identical draw sequence) and emits only the invocations routed to
- * this server — function ids pass through untouched, every server
- * keeps the full catalog. Non-owning; reset() rewinds the shared
- * source. Every inner arrival is validated with checkClusterArrival(),
- * so a globally unsorted stream fails here exactly as it does in the
- * windowed engine, even when each server's share happens to be sorted.
- *
- * The count hint is an inexact estimate, roughly 1/n of the inner
- * stream (hints are allocation-only by the InvocationSource contract).
- */
-class BalancerFilterSource final : public InvocationSource
-{
-  public:
-    BalancerFilterSource(InvocationSource& inner,
-                         const ClusterConfig& config, std::size_t server)
-        : inner_(&inner), config_(&config), server_(server),
-          name_(inner.name() + "-server" + std::to_string(server)),
-          tracker_(config, inner.functions().size())
-    {
-    }
-
-    const std::string& name() const override { return name_; }
-
-    const std::vector<FunctionSpec>& functions() const override
-    {
-        return inner_->functions();
-    }
-
-    bool peek(Invocation& out) override
-    {
-        if (!settle())
-            return false;
-        out = pending_;
-        return true;
-    }
-
-    bool next(Invocation& out) override
-    {
-        if (!settle())
-            return false;
-        out = pending_;
-        has_pending_ = false;
-        return true;
-    }
-
-    void reset() override
-    {
-        inner_->reset();
-        tracker_.rewind();
-        index_ = 0;
-        last_arrival_ = 0;
-        has_pending_ = false;
-    }
-
-    SourceCountHint countHint() const override
-    {
-        return SourceCountHint{
-            inner_->countHint().count / config_->num_servers + 16, false};
-    }
-
-  private:
-    /** Consume inner arrivals (and their draws) until one is ours. */
-    bool settle()
-    {
-        while (!has_pending_) {
-            Invocation inv;
-            if (!inner_->next(inv))
-                return false;
-            checkClusterArrival(inv, last_arrival_,
-                                inner_->functions().size());
-            if (tracker_.onArrival(index_++, inv) == server_) {
-                pending_ = inv;
-                has_pending_ = true;
-            }
-        }
-        return true;
-    }
-
-    InvocationSource* inner_;
-    const ClusterConfig* config_;
-    std::size_t server_;
-    std::string name_;
-    PrimaryTracker tracker_;
-    std::size_t index_ = 0;
-    TimeUs last_arrival_ = 0;
-    Invocation pending_;
-    bool has_pending_ = false;
 };
 
 }  // namespace faascache

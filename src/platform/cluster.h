@@ -20,12 +20,14 @@
  * server's queue crosses a high-water mark.
  *
  * One engine runs every cluster (cluster_shard.h, DESIGN.md §4i): the
- * fleet is partitioned into config.shards worker threads. With no
- * front-end machinery armed (no faults, no shed mark, no retry budget,
- * no breakers) each server replays its balancer-filtered share of the
- * stream independently; otherwise the shards advance in lookahead
- * windows of failover.base_backoff_us and exchange cross-shard effects
- * at window boundaries. Results never depend on the shard count.
+ * fleet is partitioned into config.shards worker threads that advance
+ * in lookahead windows of failover.base_backoff_us and exchange
+ * cross-shard effects at window boundaries. With no front-end
+ * machinery armed (no faults, no shed mark, no retry budget, no
+ * breakers) nothing crosses shards, and one window spans the whole
+ * run. Every server's run ends at the fleet horizon: the fleet's last
+ * event plus the queue timeout. Results never depend on the shard
+ * count.
  */
 #ifndef FAASCACHE_PLATFORM_CLUSTER_H_
 #define FAASCACHE_PLATFORM_CLUSTER_H_
@@ -211,21 +213,11 @@ struct ClusterResult
 using SourceFactory =
     std::function<std::unique_ptr<InvocationSource>()>;
 
-/**
- * A workload the sharded cluster can fan out. `make_full` is required.
- * `make_server_stream`, when set, produces the exact sub-stream the
- * balancer would route to one server (global function ids, full
- * catalog) — the sharded fault-free split then skips the per-server
- * filter passes over the full stream. Only valid for
- * LoadBalancing::FunctionHash, the one balancer whose routing is a
- * pure per-function property; it is ignored (with the filter fallback)
- * for the index- and draw-based balancers.
- */
+/** A workload the sharded cluster can fan out: `make_full` (required)
+ *  opens one cursor over the whole stream per shard. */
 struct ShardedWorkload
 {
     SourceFactory make_full;
-    std::function<std::unique_ptr<InvocationSource>(std::size_t server)>
-        make_server_stream;
 };
 
 /**
@@ -236,8 +228,7 @@ struct ShardedWorkload
  * by admission control, or failed after retries. Peak memory is
  * O(catalog + pending work) per shard.
  * @throws std::runtime_error when the stream's arrivals go backwards
- *         or name a function outside the catalog (a make_server_stream
- *         sub-stream is only checked on its own).
+ *         or name a function outside the catalog.
  */
 ClusterResult runCluster(const ShardedWorkload& workload, PolicyKind kind,
                          const ClusterConfig& config,

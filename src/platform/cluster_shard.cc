@@ -23,6 +23,16 @@ namespace {
  *  stops burning its core (sleeps on the condvar, or yields). */
 constexpr int kSpinPolls = 2000;
 
+/** "Never": no pending event, and the end of a whole-run window. */
+constexpr TimeUs kNoEvent = std::numeric_limits<TimeUs>::max();
+
+/** t + span for t, span >= 0, saturating at kNoEvent. */
+inline TimeUs
+saturatingAdd(TimeUs t, TimeUs span)
+{
+    return t > kNoEvent - span ? kNoEvent : t + span;
+}
+
 /** One busy-wait step: a CPU pause where the ISA has one. */
 inline void
 cpuRelax()
@@ -72,11 +82,20 @@ shardOfServer(std::size_t server, std::size_t num_shards,
 TimeUs
 shardWindowUs(const ClusterConfig& config)
 {
-    // The minimum cross-shard latency: a retry backs off by at least
-    // base_backoff_us (jitter only adds), and forwarded offers are
-    // quantized to window boundaries by the protocol itself, so H =
+    // With no faults, no shed mark, no retry budget and no breakers the
+    // primary always accepts: nothing is forwarded or retried and no
+    // snapshot is read, so no cross-shard effect exists and one window
+    // spans the whole run.
+    const FailoverConfig& failover = config.failover;
+    if (config.faults.empty() && failover.shed_queue_depth == 0 &&
+        !failover.retry_budget.enabled() && !failover.breaker.enabled()) {
+        return kNoEvent;
+    }
+    // Otherwise the minimum cross-shard latency: a retry backs off by
+    // at least base_backoff_us (jitter only adds), and forwarded offers
+    // are quantized to window boundaries by the protocol itself, so H =
     // base_backoff_us is a safe conservative lookahead.
-    return config.failover.base_backoff_us;
+    return failover.base_backoff_us;
 }
 
 bool
@@ -183,8 +202,6 @@ ShardBarrier::abort()
 }
 
 namespace {
-
-constexpr TimeUs kNoEvent = std::numeric_limits<TimeUs>::max();
 
 /** Front-end events local to one shard's heap. */
 enum class ShardEvent
@@ -586,7 +603,7 @@ runShardWorker(WindowedRun& run, std::size_t shard)
 
     for (;;) {
         const TimeUs window = run.window_start;
-        const TimeUs window_end = window + run.window_us;
+        const TimeUs window_end = saturatingAdd(window, run.window_us);
         ++round;
 
         // Phase A: settle owned servers to the window instant and
@@ -791,7 +808,8 @@ runShardWorker(WindowedRun& run, std::size_t shard)
                 run.done = true;
                 return;
             }
-            const TimeUs next = run.window_start + run.window_us;
+            const TimeUs next =
+                saturatingAdd(run.window_start, run.window_us);
             if (any_mail) {
                 // Posted mail must be delivered at the very next
                 // window instant; the window sequence stays contiguous.
@@ -911,62 +929,6 @@ runClusterShardedWindowed(const SourceFactory& make_source,
 }
 
 ClusterResult
-runClusterSplitSharded(const ShardedWorkload& workload, PolicyKind kind,
-                       const ClusterConfig& config,
-                       const PolicyConfig& policy_config)
-{
-    const std::size_t n = config.num_servers;
-    const std::size_t num_shards = effectiveShards(config.shards, n);
-    // The per-server sub-stream shortcut is only sound for the one
-    // balancer whose routing is a pure per-function property.
-    const bool per_server_streams =
-        workload.make_server_stream != nullptr &&
-        config.balancing == LoadBalancing::FunctionHash;
-
-    std::vector<PlatformResult> results(n);
-    std::vector<std::exception_ptr> errors(num_shards);
-    auto runServers = [&](std::size_t shard) {
-        const auto [first_server, owned_count] =
-            shardServerRange(shard, num_shards, n);
-        for (std::size_t s = first_server;
-             s < first_server + owned_count; ++s) {
-            Server server(makePolicy(kind, policy_config),
-                          config.server);
-            if (per_server_streams) {
-                const auto sub = workload.make_server_stream(s);
-                results[s] = server.run(*sub);
-            } else {
-                const auto full = workload.make_full();
-                BalancerFilterSource view(*full, config, s);
-                results[s] = server.run(view);
-            }
-        }
-    };
-
-    std::vector<std::thread> workers;
-    workers.reserve(num_shards);
-    for (std::size_t shard = 0; shard < num_shards; ++shard) {
-        workers.emplace_back([&, shard] {
-            try {
-                runServers(shard);
-            } catch (...) {
-                errors[shard] = std::current_exception();
-            }
-        });
-    }
-    for (auto& worker : workers)
-        worker.join();
-    for (const std::exception_ptr& error : errors) {
-        if (error)
-            std::rethrow_exception(error);
-    }
-
-    ClusterResult result;
-    result.servers = std::move(results);
-    return result;
-}
-
-ClusterResult
 runCluster(const ShardedWorkload& workload, PolicyKind kind,
            const ClusterConfig& config, const PolicyConfig& policy_config)
 {
@@ -974,16 +936,6 @@ runCluster(const ShardedWorkload& workload, PolicyKind kind,
     if (!workload.make_full) {
         throw std::invalid_argument(
             "runCluster: ShardedWorkload.make_full is required");
-    }
-    // The independent-server split is only equivalent when no
-    // front-end machinery can fire: no faults, no admission mark, no
-    // retry budget, no breakers. Server-local overload features run
-    // identically on both paths (they live inside Server).
-    if (config.faults.empty() && config.failover.shed_queue_depth == 0 &&
-        !config.failover.retry_budget.enabled() &&
-        !config.failover.breaker.enabled()) {
-        return runClusterSplitSharded(workload, kind, config,
-                                      policy_config);
     }
     return runClusterShardedWindowed(workload.make_full, kind, config,
                                      policy_config);

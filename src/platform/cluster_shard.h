@@ -11,7 +11,10 @@
  * forwarded offer (which the protocol quantizes to the next window
  * boundary), so no message produced inside a window [T, T + H) can
  * require delivery before T + H — shards may simulate a whole window
- * without hearing from each other.
+ * without hearing from each other. A run with no front-end machinery
+ * armed (no faults, no shed mark, no retry budget, no breakers) has no
+ * cross-shard effect at all, so its one window spans the whole run and
+ * each shard replays the stream in a single round.
  *
  * One round per window, one barrier per round. Each shard settles its
  * servers to the window instant, freezes their snapshots and publishes
@@ -30,8 +33,8 @@
  * results are byte-identical for every shard count N >= 1. The shard
  * count is an execution grouping, not a semantic parameter.
  *
- * Runs with no front-end machinery armed skip the windows entirely:
- * runClusterSplitSharded() replays each server's share independently.
+ * Every run ends every server at one fleet horizon: the last event of
+ * the fleet plus the queue timeout.
  *
  * This header exposes the partition/mailbox/barrier building blocks
  * for tests; the entry point is runCluster(const ShardedWorkload&)
@@ -74,7 +77,9 @@ std::size_t shardOfServer(std::size_t server, std::size_t num_shards,
 
 /**
  * The synchronization window H in microseconds (the conservative
- * lookahead horizon; see the file comment).
+ * lookahead horizon; see the file comment): base_backoff_us, or the
+ * largest TimeUs — one window for the whole run — when no front-end
+ * machinery is armed.
  */
 TimeUs shardWindowUs(const ClusterConfig& config);
 
@@ -189,20 +194,9 @@ class ShardBarrier
 };
 
 /**
- * Fault-free split replay: every server runs its balancer-filtered
- * share of the stream independently, with the servers grouped onto
- * shard worker threads. Chosen by runCluster when no front-end
- * machinery is armed.
- */
-ClusterResult runClusterSplitSharded(const ShardedWorkload& workload,
-                                     PolicyKind kind,
-                                     const ClusterConfig& config,
-                                     const PolicyConfig& policy_config);
-
-/**
- * Windowed engine for runs with front-end machinery (faults,
- * admission, budgets, breakers). Byte-identical across every shard
- * count; see the file comment for the protocol.
+ * The windowed engine every cluster run goes through, in windows of
+ * shardWindowUs(config). Byte-identical across every shard count; see
+ * the file comment for the protocol.
  */
 ClusterResult runClusterShardedWindowed(const SourceFactory& make_source,
                                         PolicyKind kind,

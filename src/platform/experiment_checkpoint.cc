@@ -373,11 +373,11 @@ clusterSweepFingerprint(const std::vector<ClusterCell>& cells)
     const std::vector<std::string> keys = clusterCellKeys(cells);
     std::unordered_map<const Trace*, std::uint64_t> trace_hashes;
     std::ostringstream out;
-    // v6: one cluster engine, so fault runs have one semantic and
-    // journals of an older version are rejected. Results do not depend
-    // on the shard count, so it is not hashed: a journal resumes under
-    // any shards value. The platform grid is bumped in lockstep.
-    out << "faascache-cluster-grid-v6;" << cells.size() << ';';
+    // v7: one cluster path, so fault-free runs also end every server at
+    // the fleet horizon, and journals of an older version are rejected.
+    // Results do not depend on the shard count, so it is not hashed: a
+    // journal resumes under any shards value.
+    out << "faascache-cluster-grid-v7;" << cells.size() << ';';
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const ClusterCell& cell = cells[i];
         const ClusterConfig& config = cell.config;

@@ -113,9 +113,10 @@ Server::Server(std::unique_ptr<KeepAlivePolicy> policy, ServerConfig config)
         : nullptr;
     events_.bindAuditor(audit_);
     pool_.setAuditor(audit_);
+    resource_conserving_ = policy_->resourceConserving();
     can_park_ = config_.platform_backend == PlatformBackend::Dense &&
         audit_ == nullptr && !config_.overload.brownout.enabled &&
-        policy_->resourceConserving();
+        resource_conserving_;
 }
 
 void
@@ -502,23 +503,28 @@ Server::drainQueueDense(TimeUs now)
 void
 Server::maintenance(TimeUs now)
 {
-    // Expire first so a lease ending now cannot block a prewarm via the
-    // skip-if-already-warm check.
-    for (ContainerId id : policy_->expiredContainers(pool_, now))
-        evict(id, now, /*expired=*/true);
-    if (config_.enable_prewarm) {
+    ++maintenance_ticks_;
+    // A resource-conserving policy promises that expiredContainers()
+    // and duePrewarms() return {} and change no state, so skipping both
+    // is exact.
+    if (!resource_conserving_) {
+        // Expire first so a lease ending now cannot block a prewarm via
+        // the skip-if-already-warm check.
+        for (ContainerId id : policy_->expiredContainers(pool_, now))
+            evict(id, now, /*expired=*/true);
+        // Asked even with prewarming off: the call may advance the
+        // policy's own schedule.
         for (FunctionId fn : policy_->duePrewarms(now)) {
             const FunctionSpec& spec = (*catalog_)[fn];
-            if (pool_.findIdleWarm(fn) != nullptr)
+            if (!config_.enable_prewarm ||
+                pool_.findIdleWarm(fn) != nullptr ||
+                !pool_.fits(spec.mem_mb)) {
                 continue;
-            if (!pool_.fits(spec.mem_mb))
-                continue;
+            }
             Container& c = pool_.add(spec, now, /*prewarmed=*/true);
             policy_->onPrewarm(c, spec, now);
             ++result_.prewarms;
         }
-    } else {
-        policy_->duePrewarms(now);
     }
     drainQueue(now);
     // Deep structural pool audit: O(slots), so it rides the periodic
@@ -895,6 +901,7 @@ Server::beginRunCommon(const std::vector<FunctionSpec>& functions,
     result_.latencies_sec.reserve(invocation_hint);
     clearInflight();
     tick_parked_ = false;
+    maintenance_ticks_ = 0;
     admission_.reset();
     brownout_.reset();
     spawn_successes_ = 0;

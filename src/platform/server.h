@@ -423,6 +423,10 @@ class Server
     /** Occupied CPU slots. */
     int runningCount() const { return running_; }
 
+    /** Maintenance passes run on a live server this run (parked and
+     *  down-time ticks run none). */
+    std::int64_t maintenanceTicks() const { return maintenance_ticks_; }
+
     /**
      * @name Overload signals (cluster front end)
      * Monotonic within one run; the front end diffs successive reads to
@@ -676,6 +680,10 @@ class Server
      *  unbounded until finish() names it. */
     TimeUs horizon_us_ = 0;
 
+    /** policy_->resourceConserving(), read once: when true, a tick
+     *  skips the policy's expiry and prewarm calls (both no-ops). */
+    bool resource_conserving_ = false;
+
     /**
      * Idle maintenance ticks may be skipped: Dense backend, policy
      * resourceConserving(), no auditor, brownout off (the drain updates
@@ -687,6 +695,9 @@ class Server
     /** The maintenance tick found the server quiescent and did not
      *  reschedule itself; the next mutator re-arms it. */
     bool tick_parked_ = false;
+
+    /** See maintenanceTicks(). */
+    std::int64_t maintenance_ticks_ = 0;
 
     bool down_ = false;
     TimeUs down_since_ = 0;

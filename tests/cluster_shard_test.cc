@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -28,6 +29,7 @@
 #include "trace/trace.h"
 #include "util/audit.h"
 #include "util/checkpoint_journal.h"
+#include "util/rng.h"
 
 #include "cluster_split_oracle.h"
 
@@ -287,8 +289,9 @@ TEST(ClusterShard, BreakerPeekAllowNeverClaimsProbe)
 
 TEST(ClusterShard, CleanShardedMatchesLegacyForAllBalancers)
 {
-    // The oracle is the classic independent-server replay: split the
-    // trace by balancer, run every share on its own Server.
+    // The oracle is the classic independent-server replay: route the
+    // trace by balancer to one Server per share, each ended at the
+    // fleet horizon.
     for (const LoadBalancing balancing :
          {LoadBalancing::Random, LoadBalancing::RoundRobin,
           LoadBalancing::FunctionHash}) {
@@ -306,6 +309,97 @@ TEST(ClusterShard, CleanShardedMatchesLegacyForAllBalancers)
                 << static_cast<int>(balancing) << ", shards " << shards;
         }
     }
+}
+
+TEST(ClusterShard, WholeRunWindowExactlyWhenNothingCrossesShards)
+{
+    // With no front-end machinery armed nothing crosses shards, so one
+    // window spans the run; any armed knob restores H = base_backoff_us.
+    const ClusterConfig clean = baseConfig(4);
+    EXPECT_EQ(shardWindowUs(clean), std::numeric_limits<TimeUs>::max());
+
+    std::vector<ClusterConfig> armed(5, clean);
+    armed[0].faults.spawn_failure_prob = 0.1;
+    armed[1].faults.crashes.push_back(CrashEvent{0, kMinute, kSecond});
+    armed[2].failover.shed_queue_depth = clean.server.queue_capacity;
+    armed[3].failover.retry_budget.ratio = 0.5;
+    armed[4].failover.breaker.failure_threshold = 3;
+    for (const ClusterConfig& config : armed)
+        EXPECT_EQ(shardWindowUs(config), config.failover.base_backoff_us);
+}
+
+/**
+ * Two FunctionHash servers, one of which goes idle long before the
+ * fleet's last arrival: function 0 fires once a second for the first
+ * 10 s, and `late` (the first id hashed to the other server) every
+ * 30 s for three hours.
+ */
+Trace
+earlyIdleTrace(FunctionId late)
+{
+    Trace trace("early-idle");
+    for (FunctionId f = 0; f <= late; ++f) {
+        trace.addFunction(makeFunction(f, "f" + std::to_string(f), 100.0,
+                                       100 * kMillisecond,
+                                       400 * kMillisecond));
+    }
+    for (TimeUs t = 0; t <= 3 * kHour; t += kSecond) {
+        if (t < 10 * kSecond)
+            trace.addInvocation(0, t);
+        if (t % (30 * kSecond) == 0)
+            trace.addInvocation(late, t);
+    }
+    return trace;
+}
+
+TEST(ClusterShard, EveryServerEndsAtTheFleetHorizon)
+{
+    // Every server of a run ends at the fleet horizon — the stream's
+    // last arrival plus the queue timeout — including one idle since
+    // the first 10 s. Its container outlives the keep-alive window
+    // (TTL's 10 minutes, HIST's generic 2 hours) there and expires late
+    // in the run; ending that server at its own last arrival plus the
+    // queue timeout would record no expiration.
+    ClusterConfig config = baseConfig(2);
+    config.balancing = LoadBalancing::FunctionHash;
+    const auto server_of = [&config](FunctionId f) {
+        return static_cast<std::size_t>(
+            Rng::hashMix(f ^ config.seed) % config.num_servers);
+    };
+    FunctionId late = 1;
+    while (server_of(late) == server_of(0))
+        ++late;
+    const Trace trace = earlyIdleTrace(late);
+    const std::size_t idle_server = server_of(0);
+
+    for (const PolicyKind kind : {PolicyKind::Ttl, PolicyKind::Hist}) {
+        SCOPED_TRACE(policyKindName(kind));
+        const std::string oracle = encodeClusterCheckpointPayload(
+            "cell", runClusterSplitOracle(trace, kind, config));
+        for (const std::size_t shards : {1u, 2u, 4u}) {
+            SCOPED_TRACE("shards " + std::to_string(shards));
+            ClusterConfig sharded = config;
+            sharded.shards = shards;
+            const ClusterResult result = runCluster(trace, kind, sharded);
+            EXPECT_EQ(encodeClusterCheckpointPayload("cell", result),
+                      oracle);
+            EXPECT_EQ(result.servers[idle_server].expirations, 1);
+        }
+    }
+
+    // The auditor's fleet-conservation and shard-stream-agreement
+    // checks cover the whole-run window too, and leave the payload
+    // alone.
+    Auditor audit(AuditMode::On);
+    ClusterConfig audited = config;
+    audited.shards = 2;
+    audited.server.audit = &audit;
+    EXPECT_EQ(encodeClusterCheckpointPayload(
+                  "cell", runCluster(trace, PolicyKind::Ttl, audited)),
+              encodeClusterCheckpointPayload(
+                  "cell", runClusterSplitOracle(trace, PolicyKind::Ttl,
+                                                config)));
+    EXPECT_EQ(audit.violationCount(), 0) << audit.report();
 }
 
 TEST(ClusterShard, WindowedRunIsShardCountInvariantWithAuditorOn)
@@ -625,9 +719,9 @@ TEST(ClusterShard, MalformedStreamThrowsOnEveryPath)
     // Round-robin over 2 servers splits arrivals 10, 20, 15, 25 s into
     // the sorted shares {10, 15} and {20, 25}: only a check on the
     // whole stream sees the disorder. Every balancer, shard count and
-    // engine path (clean split, armed windows) must reject it, and an
-    // out-of-range function id, with the same error and without
-    // hanging a shard.
+    // both window regimes (clean whole-run window, armed windows) must
+    // reject it, and an out-of-range function id, with the same error
+    // and without hanging a shard.
     Trace unsorted("unsorted");
     unsorted.addFunction(makeFunction(0, "f0", 300.0, 500 * kMillisecond,
                                       2 * kSecond));

@@ -394,9 +394,12 @@ TEST(GreedyDualEngines, FullSimulationMatchesOracleOnRandomizedTraces)
 
 TEST(GreedyDualEngines, HeapStaysCompactedUnderChurn)
 {
-    // Every use supersedes the container's previous entry; compaction on
-    // use must keep both heaps within a constant factor of the live
-    // container count even when no eviction round ever runs.
+    // A use only retires the container's entry and its release only
+    // logs the slot, so churn without searches must not grow the heap;
+    // a search pushes each logged container under a fresh entry, and
+    // compaction drops the superseded ones. heapSize() (the priority
+    // heap plus the proposals held aside) must stay within a constant
+    // factor of the live container count throughout.
     Harness h(100'000);
     const FunctionSpec f = fn(0, 100, 500, 1000);
     Container& c = h.invokeCold(f, 0);
@@ -415,14 +418,16 @@ TEST(GreedyDualEngines, HeapStaysCompactedUnderChurn)
 }
 
 // ---------------------------------------------------------------------------
-// Admission of parked (busy) containers. The heap engine parks a
-// container by busyUntil when it is used and ranks it only once it has
-// gone idle; a search stops admitting at the first container still busy
-// past the search instant. These cases drive that stop rule where it is
-// tightest — searches at an instant earlier than the last release,
-// searches before same-instant releases are delivered, long busy
-// containers in front of short idle ones, and searches that cannot free
-// enough — and require payloads equal to the oracle's byte for byte.
+// Admission of released containers. The heap engine ranks a container
+// only once it has gone idle: a use retires its entry, the pool's
+// release log records it when it goes idle again, and the next search
+// drains the log into the heap. Proposed victims the driver declines
+// are held aside with their exact keys and return at the next search.
+// These cases drive the release timing where it is tightest — searches
+// at an instant earlier than the last release, searches before
+// same-instant releases are delivered, long busy containers next to
+// short idle ones, and searches that cannot free enough — and require
+// payloads equal to the oracle's byte for byte.
 
 std::string
 describe(const GreedyDualConfig& config)
@@ -536,9 +541,9 @@ TEST(GdAdmission, ServerColdStartBeforeSameInstantFinishes)
     // Two cores, room for two containers. At t=20 s an arrival for f2
     // queues behind A (f0) and B (f1), both due at 20 s. B's Finish was
     // scheduled first, so it is delivered first and its drain cold-
-    // starts f2 while A — parked ahead of B, lower id, same busyUntil —
-    // is still busy: the search must look past A and evict B, although
-    // A ranks lower. Stopping at A would defer the eviction to A's
+    // starts f2 while A — lower id, same busyUntil — is still busy and
+    // not yet in the release log: the search must evict B, although A
+    // ranks lower. Waiting for A would defer the eviction to A's
     // Finish, evict A instead, and turn f1's last call warm.
     Trace trace("same-instant");
     trace.addFunction(fn(0, 100, 5000, 100));
@@ -589,8 +594,8 @@ TEST(GdAdmission, ServerWholeSecondTiesMatchOracle)
 TEST(GdAdmission, LongBusyLowPriorityNextToShortIdleMatchesOracle)
 {
     // The shape of a pool far below the working set: minutes-long,
-    // cheap-to-restart containers stay busy in front of the parked heap
-    // while short, expensive ones churn through idle.
+    // cheap-to-restart containers stay busy, out of the heap, while
+    // short, expensive ones churn through idle and the release log.
     for (const std::uint64_t seed : {1ULL, 2ULL}) {
         const Trace trace = mixedTrace(seed, 0.4, 0.5, 40 * kMinute, false);
         SimulatorConfig sim;
@@ -615,10 +620,10 @@ TEST(GdAdmission, LongBusyLowPriorityNextToShortIdleMatchesOracle)
 
 TEST(GdAdmission, InfeasibleSearchReturnsEveryIdleContainerInOrder)
 {
-    // Busy containers due after `now` sit in front of idle ones in the
-    // parked heap's tail; a search that cannot free enough must still
-    // propose every idle container, in the oracle's order, because
-    // Simulator::resize and background reclaim evict a prefix of it.
+    // Busy containers due after `now` lie among idle ones; a search
+    // that cannot free enough must still propose every idle container,
+    // in the oracle's order, because Simulator::resize and background
+    // reclaim evict a prefix of it.
     for (const GreedyDualConfig& config : ablationConfigs(0.0)) {
         SCOPED_TRACE(describe(config));
         ContainerPool heap_pool(100'000);

@@ -37,8 +37,8 @@ expectConservation(const ClusterResult& r, const Trace& t)
 
 TEST(ClusterFailover, FaultAwarePathMatchesLegacyWithoutFaults)
 {
-    // Force the interleaved path with admission control that never
-    // triggers; the result must match the independent-server split.
+    // Force windows of base_backoff_us with admission control that
+    // never triggers; the result must match the whole-run window.
     const Trace t = skewedFrequencyWorkload(10 * kMinute);
     for (LoadBalancing lb : {LoadBalancing::Random,
                              LoadBalancing::RoundRobin,

@@ -356,7 +356,8 @@ TEST(ClusterDifferential, SplitAndFaultAwarePathsAgree)
     for (LoadBalancing balancing :
          {LoadBalancing::Random, LoadBalancing::RoundRobin,
           LoadBalancing::FunctionHash}) {
-        // Fault-free: exercises the split path (per-server run()).
+        // Fault-free: the engine's whole-run window (one round, nothing
+        // crosses shards).
         ClusterConfig split = baseClusterConfig();
         split.balancing = balancing;
         expectClusterBackendsAgree(
@@ -364,8 +365,9 @@ TEST(ClusterDifferential, SplitAndFaultAwarePathsAgree)
             "split/balancing=" + std::to_string(static_cast<int>(
                                      balancing)));
 
-        // Crashing fleet with full failover machinery: exercises the
-        // windowed front end and its dispatch cursor.
+        // Crashing fleet with full failover machinery: windows of
+        // base_backoff_us and the front end's dispatch cursor. Both
+        // window regimes must agree across platform backends.
         ClusterConfig faulty = split;
         faulty.faults.spawn_failure_prob = 0.1;
         faulty.faults.crashes.push_back(

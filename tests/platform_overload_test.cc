@@ -525,11 +525,11 @@ TEST(ClusterOverload, JitteredRetriesStayDeterministic)
 
 TEST(ClusterOverload, ServerOverloadKnobsWorkOnBothPaths)
 {
-    // Server-local admission control must behave identically whether
-    // the cluster takes the split fast path (no front-end features) or
-    // the windowed path (forced by an inert shed mark): the controllers
-    // live inside Server. The split path must also match the
-    // independent-server split oracle exactly.
+    // Server-local admission control must behave identically in both
+    // window regimes — one whole-run window (no front-end features) or
+    // windows of base_backoff_us (forced by an inert shed mark): the
+    // controllers live inside Server. The whole-run window must also
+    // match the independent-server split oracle exactly.
     Trace t("cluster-saturate");
     t.addFunction(fn(0, 100, 10.0, 0.0));
     for (int i = 0; i < 240; ++i)

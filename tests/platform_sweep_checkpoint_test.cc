@@ -467,34 +467,49 @@ TEST(ClusterSweepResume, JournalResumesAcrossShardCounts)
     }
 }
 
+/** A journal of clusterGrid() stamped with an older fingerprint
+ *  `stale` must not resume. */
+void
+expectStaleClusterJournalRejected(std::uint64_t stale)
+{
+    const std::vector<ClusterCell> grid = clusterGrid();
+    const std::vector<std::string> keys = clusterCellKeys(grid);
+    ASSERT_NE(stale, clusterSweepFingerprint(grid));
+    TempFile ckpt("cluster_stale");
+    {
+        CheckpointJournalWriter writer =
+            CheckpointJournalWriter::beginFresh(ckpt.path(), stale);
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            writer.append(encodeClusterCheckpointPayload(
+                keys[i], runCluster(*grid[i].trace, grid[i].kind,
+                                    grid[i].config, grid[i].policy)));
+        }
+    }
+    SweepOptions options;
+    options.checkpoint_path = ckpt.path();
+    options.resume = true;
+    EXPECT_THROW(runClusterSweepReport(grid, 2, options),
+                 std::runtime_error);
+}
+
 TEST(ClusterSweepResume, RejectsAJournalStampedV5)
 {
     // clusterSweepFingerprint(clusterGrid()) under the v5 scheme, at
     // shards 0 (the old interleave) and at shards 1. v5 journals hold
     // results of the old fault-run semantic; resuming from one must
     // fail instead of mixing semantics.
-    const std::uint64_t v5_fingerprints[] = {0x150d50d6f40805ceULL,
-                                             0x7465418da1537062ULL};
-    const std::vector<ClusterCell> grid = clusterGrid();
-    const std::vector<std::string> keys = clusterCellKeys(grid);
-    for (const std::uint64_t v5 : v5_fingerprints) {
-        ASSERT_NE(v5, clusterSweepFingerprint(grid));
-        TempFile ckpt("cluster_v5");
-        {
-            CheckpointJournalWriter writer =
-                CheckpointJournalWriter::beginFresh(ckpt.path(), v5);
-            for (std::size_t i = 0; i < grid.size(); ++i) {
-                writer.append(encodeClusterCheckpointPayload(
-                    keys[i], runCluster(*grid[i].trace, grid[i].kind,
-                                        grid[i].config, grid[i].policy)));
-            }
-        }
-        SweepOptions options;
-        options.checkpoint_path = ckpt.path();
-        options.resume = true;
-        EXPECT_THROW(runClusterSweepReport(grid, 2, options),
-                     std::runtime_error);
+    for (const std::uint64_t v5 : {0x150d50d6f40805ceULL,
+                                   0x7465418da1537062ULL}) {
+        expectStaleClusterJournalRejected(v5);
     }
+}
+
+TEST(ClusterSweepResume, RejectsAJournalStampedV6)
+{
+    // clusterSweepFingerprint(clusterGrid()) under the v6 scheme, whose
+    // fault-free runs ended each server at its own last arrival plus
+    // the queue timeout instead of at the fleet horizon.
+    expectStaleClusterJournalRejected(0xe1d7ba292b167c95ULL);
 }
 
 }  // namespace

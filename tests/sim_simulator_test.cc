@@ -9,6 +9,8 @@
 #include "core/ttl_policy.h"
 #include "trace/azure_model.h"
 
+#include "housekeeping_counting_policy.h"
+
 namespace faascache {
 namespace {
 
@@ -495,75 +497,6 @@ TEST(Simulator, PerFunctionOutcomesSumToTotals)
               static_cast<std::int64_t>(t.invocations().size()));
 }
 
-/**
- * Pass-through wrapper that counts the housekeeping calls the simulator
- * makes and forwards resourceConserving() only when asked to.
- */
-class CountingPolicy final : public KeepAlivePolicy
-{
-  public:
-    CountingPolicy(std::unique_ptr<KeepAlivePolicy> inner,
-                   bool forward_conserving, int& housekeeping_calls)
-        : inner_(std::move(inner)), forward_conserving_(forward_conserving),
-          calls_(&housekeeping_calls)
-    {
-    }
-
-    std::string name() const override { return inner_->name(); }
-    bool resourceConserving() const override
-    {
-        return forward_conserving_ && inner_->resourceConserving();
-    }
-    void reserveFunctions(std::size_t n) override
-    {
-        inner_->reserveFunctions(n);
-    }
-    void onInvocationArrival(const FunctionSpec& f, TimeUs now) override
-    {
-        inner_->onInvocationArrival(f, now);
-    }
-    void onWarmStart(Container& c, const FunctionSpec& f,
-                     TimeUs now) override
-    {
-        inner_->onWarmStart(c, f, now);
-    }
-    void onColdStart(Container& c, const FunctionSpec& f,
-                     TimeUs now) override
-    {
-        inner_->onColdStart(c, f, now);
-    }
-    void onPrewarm(Container& c, const FunctionSpec& f, TimeUs now) override
-    {
-        inner_->onPrewarm(c, f, now);
-    }
-    void onEviction(const Container& c, bool last, TimeUs now) override
-    {
-        inner_->onEviction(c, last, now);
-    }
-    std::vector<ContainerId> selectVictims(ContainerPool& pool,
-                                           MemMb needed_mb,
-                                           TimeUs now) override
-    {
-        return inner_->selectVictims(pool, needed_mb, now);
-    }
-    std::vector<ContainerId> expiredContainers(const ContainerPool& pool,
-                                               TimeUs now) override
-    {
-        ++*calls_;
-        return inner_->expiredContainers(pool, now);
-    }
-    std::vector<FunctionId> duePrewarms(TimeUs now) override
-    {
-        ++*calls_;
-        return inner_->duePrewarms(now);
-    }
-
-  private:
-    std::unique_ptr<KeepAlivePolicy> inner_;
-    bool forward_conserving_;
-    int* calls_;
-};
-
 TEST(Simulator, ResourceConservingPolicySkipsHousekeepingExactly)
 {
     // Greedy-Dual promises that expiry and prewarm calls do nothing, so
@@ -589,7 +522,7 @@ TEST(Simulator, ResourceConservingPolicySkipsHousekeepingExactly)
             int calls = 0;
             results.push_back(simulateTrace(
                 t,
-                std::make_unique<CountingPolicy>(
+                std::make_unique<HousekeepingCountingPolicy>(
                     std::make_unique<GreedyDualPolicy>(), forward, calls),
                 c));
             if (forward)

@@ -198,7 +198,7 @@ TEST(StreamingDifferential, ServerStreamedRunAgreesUnderFaults)
     }
 }
 
-// --- Cluster: clean split + armed windows, all balancers. ----------
+// --- Cluster: whole-run + armed windows, all balancers. ------------
 
 TEST(StreamingDifferential, ClusterAgreesAcrossSourcesAndBalancers)
 {
@@ -307,7 +307,7 @@ TEST(StreamingDifferential, ClusterShardCountInvariance)
                 runCluster(workload, PolicyKind::GreedyDual, sharded));
 
             if (!faulty) {
-                // The fault-free sharded split must also match the
+                // A fault-free run must also match the
                 // independent-server split oracle byte-for-byte.
                 EXPECT_EQ(
                     encodeClusterCheckpointPayload(
