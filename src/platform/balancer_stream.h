@@ -26,9 +26,10 @@ namespace faascache {
 
 /**
  * Validate the next arrival of a cluster stream: arrivals must be
- * globally non-decreasing and name a function of the catalog. `last`
- * is the previous arrival time (0 before the first) and is advanced.
- * @throws std::runtime_error on either violation.
+ * globally non-decreasing, no later than kMaxArrivalUs, and name a
+ * function of the catalog. `last` is the previous arrival time (0
+ * before the first) and is advanced.
+ * @throws std::runtime_error on any violation.
  */
 inline void
 checkClusterArrival(const Invocation& inv, TimeUs& last,
@@ -40,6 +41,7 @@ checkClusterArrival(const Invocation& inv, TimeUs& last,
             std::to_string(inv.arrival_us) + " after " +
             std::to_string(last) + ")");
     }
+    checkArrivalTime(inv, "runCluster");
     if (inv.function >= catalog_size) {
         throw std::runtime_error(
             "runCluster: source function id " +

@@ -786,6 +786,10 @@ runShardWorker(WindowedRun& run, std::size_t shard)
         // shard-layout-invariant.
         {
             const bool have_arrival = source->peek(arr);
+            // An arrival at kNoEvent would never be consumed and so
+            // never counted: reject what phase C left in the cursor.
+            if (have_arrival)
+                checkArrivalTime(arr, "runCluster");
             TimeUs local_min = have_arrival ? arr.arrival_us : kNoEvent;
             if (!events.empty())
                 local_min = std::min(local_min, events.nextTime());

@@ -933,6 +933,10 @@ Server::run(const Trace& trace)
         beginRun(trace);
         external_fallout_ = false;
         const auto& invocations = trace.invocations();
+        // beginRun() rejected an unsorted trace: the last arrival is
+        // the latest.
+        if (!invocations.empty())
+            checkArrivalTime(invocations.back(), "Server");
         horizon_us_ = invocations.empty()
             ? 0
             : invocations.back().arrival_us + config_.queue_timeout_us;
@@ -993,6 +997,7 @@ Server::run(InvocationSource& source)
                 std::to_string(inv.arrival_us) + " after " +
                 std::to_string(last_arrival) + ")");
         }
+        checkArrivalTime(inv, "Server");
         if (inv.function >= catalog_->size()) {
             throw std::runtime_error(
                 "Server: source function id " +

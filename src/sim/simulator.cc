@@ -199,6 +199,7 @@ Simulator::step()
             std::to_string(inv.function) + " out of range");
     if (inv.arrival_us < last_arrival_)
         throw std::runtime_error("Simulator: source arrivals out of order");
+    checkArrivalTime(inv, "Simulator");
     last_arrival_ = inv.arrival_us;
     const FunctionSpec& spec = (*functions_)[inv.function];
     clock_.advanceTo(inv.arrival_us);

@@ -21,6 +21,43 @@ diurnalMultiplier(TimeUs t, double peak_to_mean, TimeUs period_us)
     return std::max(0.0, 1.0 - amplitude * std::cos(phase));
 }
 
+AzureMinuteGrid::AzureMinuteGrid(const AzureModelConfig& config)
+    : num_minutes_(static_cast<std::int64_t>(
+          (config.duration_us + kMinute - 1) / kMinute))
+{
+    if (!config.diurnal)
+        return;
+    multipliers_.reserve(
+        static_cast<std::size_t>(std::max<std::int64_t>(num_minutes_, 0)));
+    for (std::int64_t minute = 0; minute < num_minutes_; ++minute) {
+        multipliers_.push_back(diurnalMultiplier(minute * kMinute,
+                                                 config.diurnal_peak_to_mean,
+                                                 config.diurnal_period_us));
+    }
+}
+
+std::int64_t
+AzureMinuteGrid::nextBusyMinute(Rng& rng, double rate_per_sec,
+                                std::int64_t minute,
+                                std::int64_t& count) const
+{
+    const double rate_per_min = rate_per_sec * 60.0;
+    const double* multipliers =
+        multipliers_.empty() ? nullptr : multipliers_.data();
+    const std::int64_t end = num_minutes_;
+    while (++minute < end) {
+        double mean = rate_per_min;
+        if (multipliers != nullptr)
+            mean *= multipliers[minute];
+        const std::int64_t c = rng.poisson(mean);
+        if (c > 0) {
+            count = c;
+            return minute;
+        }
+    }
+    return end;
+}
+
 Trace
 generateAzureTrace(const AzureModelConfig& config)
 {
@@ -71,8 +108,8 @@ generateAzureTrace(const AzureModelConfig& config)
 
     // Emit invocations minute bucket by minute bucket, per function, using
     // the paper's replay rule.
-    const auto num_minutes = static_cast<std::int64_t>(
-        (config.duration_us + kMinute - 1) / kMinute);
+    const AzureMinuteGrid grid(config);
+    const std::int64_t num_minutes = grid.minutes();
     // Reserve the invocation stream at its expected size (sum of the
     // per-function Poisson means over the whole duration; the diurnal
     // multiplier averages ~1 over full periods). One allocation instead
@@ -86,17 +123,14 @@ generateAzureTrace(const AzureModelConfig& config)
         static_cast<std::size_t>(expected_invocations * 1.02) + 64);
     for (std::size_t i = 0; i < config.num_functions; ++i) {
         Rng fn_rng = rng.split();
-        for (std::int64_t minute = 0; minute < num_minutes; ++minute) {
+        std::int64_t count = 0;
+        for (std::int64_t minute =
+                 grid.nextBusyMinute(fn_rng, models[i].rate_per_sec, -1,
+                                     count);
+             minute < num_minutes;
+             minute = grid.nextBusyMinute(fn_rng, models[i].rate_per_sec,
+                                          minute, count)) {
             const TimeUs bucket_start = minute * kMinute;
-            double rate_per_min = models[i].rate_per_sec * 60.0;
-            if (config.diurnal) {
-                rate_per_min *= diurnalMultiplier(bucket_start,
-                                                  config.diurnal_peak_to_mean,
-                                                  config.diurnal_period_us);
-            }
-            const std::int64_t count = fn_rng.poisson(rate_per_min);
-            if (count <= 0)
-                continue;
             if (count == 1) {
                 population.addInvocation(static_cast<FunctionId>(i),
                                          bucket_start);

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "trace/trace.h"
 
@@ -116,6 +117,42 @@ Trace generateAzureTrace(const AzureModelConfig& config);
  * floored at zero. Exposed for tests and for the elastic-scaling bench.
  */
 double diurnalMultiplier(TimeUs t, double peak_to_mean, TimeUs period_us);
+
+class Rng;
+
+/**
+ * The (function, minute) cells both Azure generators draw, one Poisson
+ * count per cell in minute order: generateAzureTrace() and
+ * makeAzureSource() walk every function's cells through
+ * nextBusyMinute(), which keeps them equal draw for draw. The diurnal
+ * multiplier is evaluated once per minute of the duration, not per
+ * cell.
+ */
+class AzureMinuteGrid
+{
+  public:
+    explicit AzureMinuteGrid(const AzureModelConfig& config);
+
+    /** Minute buckets per function: the duration rounded up. */
+    std::int64_t minutes() const { return num_minutes_; }
+
+    /**
+     * Draw the cells after `minute` (-1 before the first) of a function
+     * with `rate_per_sec` from its generator `rng` until one draws a
+     * non-zero count. The cell's mean is rate_per_sec * 60, times the
+     * minute's diurnal multiplier when the model is diurnal.
+     * @return that minute, with its count in `count`, or minutes() when
+     *         no later cell draws one (`count` untouched).
+     */
+    std::int64_t nextBusyMinute(Rng& rng, double rate_per_sec,
+                                std::int64_t minute,
+                                std::int64_t& count) const;
+
+  private:
+    std::int64_t num_minutes_;
+    /** diurnalMultiplier() at each minute's start; empty when flat. */
+    std::vector<double> multipliers_;
+};
 
 }  // namespace faascache
 

@@ -249,8 +249,7 @@ class AzureSource final : public GeneratedSource
         : GeneratedSource(config.name, {}), config_(config),
           population_(std::move(population)), rates_(std::move(rates)),
           post_catalog_rng_(post_catalog_rng), keep_(std::move(keep)),
-          num_minutes_(static_cast<std::int64_t>(
-              (config.duration_us + kMinute - 1) / kMinute))
+          grid_(config)
     {
         // Counting pre-pass: replay every per-function minute-bucket
         // process once. Gives the exact count hint and, when the
@@ -261,13 +260,13 @@ class AzureSource final : public GeneratedSource
             Rng rng = post_catalog_rng_;
             for (std::size_t i = 0; i < population_.size(); ++i) {
                 Rng fn_rng = rng.split();
-                for (std::int64_t minute = 0; minute < num_minutes_;
-                     ++minute) {
-                    const std::int64_t c =
-                        fn_rng.poisson(ratePerMinute(i, minute * kMinute));
-                    if (c > 0)
-                        counts[i] += static_cast<std::size_t>(c);
-                }
+                std::int64_t c = 0;
+                for (std::int64_t minute =
+                         grid_.nextBusyMinute(fn_rng, rates_[i], -1, c);
+                     minute < grid_.minutes();
+                     minute = grid_.nextBusyMinute(fn_rng, rates_[i],
+                                                   minute, c))
+                    counts[i] += static_cast<std::size_t>(c);
             }
         }
         remap_.assign(population_.size(), kInvalidFunction);
@@ -311,28 +310,21 @@ class AzureSource final : public GeneratedSource
     bool streamNext(std::size_t i, TimeUs& out) override
     {
         Stream& s = streams_[i];
-        while (true) {
-            if (s.k < s.count) {
-                out = s.count == 1 ? s.bucket_start
-                                   : s.bucket_start + s.k * s.spacing;
-                ++s.k;
-                return true;
-            }
-            ++s.minute;
-            if (s.minute >= num_minutes_)
+        if (s.k == s.count) {
+            std::int64_t c = 0;
+            s.minute = grid_.nextBusyMinute(s.fn_rng, rates_[i], s.minute, c);
+            if (s.minute >= grid_.minutes())
                 return false;
             s.bucket_start = s.minute * kMinute;
-            const std::int64_t c =
-                s.fn_rng.poisson(ratePerMinute(i, s.bucket_start));
-            if (c <= 0) {
-                s.count = 0;
-                s.k = 0;
-                continue;
-            }
             s.count = c;
             s.k = 0;
-            s.spacing = c > 1 ? kMinute / c : 0;
+            s.spacing = kMinute / c;
         }
+        // Same replay rule as generateAzureTrace(): a single invocation
+        // at the bucket start, else `count` evenly spaced ones.
+        out = s.bucket_start + s.k * s.spacing;
+        ++s.k;
+        return true;
     }
 
     bool streamEmits(std::size_t i) const override
@@ -348,17 +340,6 @@ class AzureSource final : public GeneratedSource
     }
 
   private:
-    double ratePerMinute(std::size_t fn, TimeUs bucket_start) const
-    {
-        double rate = rates_[fn] * 60.0;
-        if (config_.diurnal) {
-            rate *= diurnalMultiplier(bucket_start,
-                                      config_.diurnal_peak_to_mean,
-                                      config_.diurnal_period_us);
-        }
-        return rate;
-    }
-
     struct Stream
     {
         Rng fn_rng{0};
@@ -374,7 +355,7 @@ class AzureSource final : public GeneratedSource
     std::vector<double> rates_;
     Rng post_catalog_rng_;
     std::function<bool(FunctionId)> keep_;
-    std::int64_t num_minutes_;
+    AzureMinuteGrid grid_;
     std::vector<FunctionId> remap_;
     std::vector<Stream> streams_;
 };

@@ -5,6 +5,16 @@
 
 namespace faascache {
 
+void
+throwArrivalPastLimit(const Invocation& inv, const char* engine)
+{
+    throw std::runtime_error(
+        std::string(engine) + ": arrival at " +
+        std::to_string(inv.arrival_us) +
+        " us is past the latest accepted arrival time (" +
+        std::to_string(kMaxArrivalUs) + " us)");
+}
+
 SubsetSource::SubsetSource(InvocationSource& inner,
                            const std::vector<FunctionId>& keep,
                            std::string name)

@@ -27,6 +27,8 @@
  *  - the stream is non-decreasing in arrival_us and every function id
  *    is < functions().size() (implementations enforce this and throw
  *    std::runtime_error on violation);
+ *  - no arrival lies past kMaxArrivalUs (every engine enforces this with
+ *    checkArrivalTime() and throws std::runtime_error on violation);
  *  - countHint() is exact when `exact` is set, otherwise an upper
  *    bound; consumers may use it only to pre-size allocations — never
  *    to change results.
@@ -36,12 +38,39 @@
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "trace/trace.h"
 
 namespace faascache {
+
+/**
+ * Latest arrival time any engine accepts. Engines add spans to arrival
+ * times in plain TimeUs arithmetic (cold and warm execution,
+ * queue_timeout_us, tick and keep-alive periods), and the cluster engine
+ * reserves the TimeUs maximum as its "no event" sentinel. Capping
+ * arrivals at a quarter of the range (about 73,000 years) leaves three
+ * quarters of it as headroom for those sums.
+ */
+inline constexpr TimeUs kMaxArrivalUs =
+    std::numeric_limits<TimeUs>::max() / 4;
+
+/** Throws the error checkArrivalTime() reports. */
+[[noreturn]] void throwArrivalPastLimit(const Invocation& inv,
+                                        const char* engine);
+
+/**
+ * Reject an arrival past kMaxArrivalUs with a std::runtime_error that
+ * names `engine`. Every engine runs it on each arrival it sees.
+ */
+inline void
+checkArrivalTime(const Invocation& inv, const char* engine)
+{
+    if (inv.arrival_us > kMaxArrivalUs) [[unlikely]]
+        throwArrivalPastLimit(inv, engine);
+}
 
 /** Allocation hint for the total number of invocations of a source. */
 struct SourceCountHint

@@ -18,12 +18,6 @@ splitMix64(std::uint64_t& x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -31,27 +25,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t s = seed;
     for (auto& word : state_)
         word = splitMix64(s);
-}
-
-std::uint64_t
-Rng::nextU64()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high-quality mantissa bits.
-    return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -128,21 +101,21 @@ Rng::pareto(double x_m, double alpha)
 }
 
 std::int64_t
-Rng::poisson(double mean)
+Rng::poissonKnuthTail(double mean, double u)
 {
-    assert(mean >= 0);
-    if (mean == 0)
-        return 0;
-    if (mean < 30.0) {
-        const double limit = std::exp(-mean);
-        std::int64_t k = 0;
-        double p = 1.0;
-        do {
-            ++k;
-            p *= uniform();
-        } while (p > limit);
-        return k - 1;
+    const double limit = std::exp(-mean);
+    std::int64_t k = 0;
+    double p = u;
+    while (p > limit) {
+        ++k;
+        p *= uniform();
     }
+    return k;
+}
+
+std::int64_t
+Rng::poissonNormal(double mean)
+{
     const double v = normal(mean, std::sqrt(mean));
     return std::max<std::int64_t>(0, static_cast<std::int64_t>(std::lround(v)));
 }

@@ -714,6 +714,53 @@ TEST(ClusterShard, FailedOwnerReleasesSnapshotWaiters)
 
 // --- Malformed streams fail on every path, for every balancer. -----
 
+TEST(ClusterShard, ArrivalPastTheLimitThrowsOnEveryPath)
+{
+    // An arrival at the TimeUs maximum equals the engine's "no event"
+    // sentinel: no shard would ever consume it, so unchecked it would be
+    // neither served nor dropped. Every balancer, shard count and window
+    // regime must reject it by name instead.
+    Trace late("late");
+    late.addFunction(makeFunction(0, "f0", 300.0, 500 * kMillisecond,
+                                  2 * kSecond));
+    late.addInvocation(0, kSecond);
+    late.addInvocation(0, std::numeric_limits<TimeUs>::max());
+    const std::string expected =
+        "runCluster: arrival at " +
+        std::to_string(std::numeric_limits<TimeUs>::max()) +
+        " us is past the latest accepted arrival time (" +
+        std::to_string(kMaxArrivalUs) + " us)";
+    ShardedWorkload workload;
+    workload.make_full = [&late] {
+        return std::make_unique<TraceSource>(late);
+    };
+    for (const LoadBalancing balancing :
+         {LoadBalancing::Random, LoadBalancing::RoundRobin,
+          LoadBalancing::FunctionHash}) {
+        for (const std::size_t shards : {1u, 4u}) {
+            for (const bool armed : {false, true}) {
+                ClusterConfig config = baseConfig(2);
+                config.balancing = balancing;
+                config.shards = shards;
+                if (armed) {
+                    config.failover.shed_queue_depth =
+                        config.server.queue_capacity;
+                }
+                const std::string label = "balancing " +
+                    std::to_string(static_cast<int>(balancing)) +
+                    " shards " + std::to_string(shards) +
+                    (armed ? " armed" : " clean");
+                try {
+                    runCluster(workload, PolicyKind::GreedyDual, config);
+                    ADD_FAILURE() << "no error: " << label;
+                } catch (const std::runtime_error& error) {
+                    EXPECT_EQ(error.what(), expected) << label;
+                }
+            }
+        }
+    }
+}
+
 TEST(ClusterShard, MalformedStreamThrowsOnEveryPath)
 {
     // Round-robin over 2 servers splits arrivals 10, 20, 15, 25 s into

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "core/policy_factory.h"
 #include "platform/experiment_checkpoint.h"
 #include "trace/azure_model.h"
@@ -249,6 +253,33 @@ TEST(Server, RejectsBadConfig)
     EXPECT_THROW(Server(nullptr, config(2, 1'000)), std::invalid_argument);
     EXPECT_THROW(Server(makePolicy(PolicyKind::Lru), config(0, 1'000)),
                  std::invalid_argument);
+}
+
+TEST(Server, RejectsAnArrivalPastTheLimit)
+{
+    Trace t("t");
+    t.addFunction(fn(0, 100));
+    t.addInvocation(0, kSecond);
+    t.addInvocation(0, std::numeric_limits<TimeUs>::max());
+    for (const PlatformBackend backend :
+         {PlatformBackend::Dense, PlatformBackend::Reference}) {
+        ServerConfig c = config(2, 1'000);
+        c.platform_backend = backend;
+        Server server(makePolicy(PolicyKind::Lru), c);
+        TraceSource source(t);
+        try {
+            server.run(source);
+            ADD_FAILURE() << "no error, backend "
+                          << static_cast<int>(backend);
+        } catch (const std::runtime_error& error) {
+            EXPECT_EQ(std::string(error.what()).rfind(
+                          "Server: arrival at 9223372036854775807 us is "
+                          "past the latest accepted arrival time",
+                          0),
+                      0u)
+                << error.what();
+        }
+    }
 }
 
 TEST(Server, RejectsUnsortedTrace)

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "core/greedy_dual.h"
 #include "core/histogram_policy.h"
 #include "core/lru_policy.h"
@@ -28,6 +32,26 @@ config(MemMb mem)
     c.memory_mb = mem;
     c.memory_sample_interval_us = 0;
     return c;
+}
+
+TEST(Simulator, RejectsAnArrivalPastTheLimit)
+{
+    Trace t("t");
+    t.addFunction(fn(0, 100));
+    t.addInvocation(0, kSecond);
+    t.addInvocation(0, std::numeric_limits<TimeUs>::max());
+    TraceSource source(t);
+    try {
+        simulateSource(source, makePolicy(PolicyKind::Lru), config(1000));
+        ADD_FAILURE() << "no error";
+    } catch (const std::runtime_error& error) {
+        EXPECT_EQ(std::string(error.what()).rfind(
+                      "Simulator: arrival at 9223372036854775807 us is past "
+                      "the latest accepted arrival time",
+                      0),
+                  0u)
+            << error.what();
+    }
 }
 
 TEST(Simulator, FirstInvocationIsCold)

@@ -4,9 +4,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "sim/sweep_runner.h"
+#include "trace/generated_source.h"
+#include "trace/invocation_source.h"
 
 namespace faascache {
 namespace {
@@ -202,6 +208,69 @@ TEST(AzureModel, DiurnalModulatesArrivals)
             ++middle;
     }
     EXPECT_GT(middle, 2 * edge);
+}
+
+/** Diurnal, three days, low per-function rates as in fig_shard_scaling
+ *  (1.7 % of the minute cells draw a non-zero count), functions
+ *  invoked once dropped. */
+AzureModelConfig
+sparseDiurnalConfig()
+{
+    AzureModelConfig config;
+    config.seed = 2026;
+    config.num_functions = 1000;
+    config.duration_us = 3 * 24 * kHour;
+    config.iat_median_sec = 7200.0;
+    config.iat_sigma = 1.2;
+    config.max_rate_per_sec = 0.5;
+    config.diurnal = true;
+    config.diurnal_peak_to_mean = 2.5;
+    config.drop_single_invocation_functions = true;
+    return config;
+}
+
+/** Flat, high per-function rates: means up to 240 a minute, so cells
+ *  take Knuth's loop and the normal approximation alike. */
+AzureModelConfig
+denseFlatConfig()
+{
+    AzureModelConfig config;
+    config.seed = 99;
+    config.num_functions = 60;
+    config.duration_us = 20 * kMinute;
+    config.iat_median_sec = 2.0;
+    return config;
+}
+
+// Fingerprints of the generated catalog and stream, pinned (recorded
+// with Rng::poisson as the plain Knuth loop and the cosine evaluated
+// per cell).
+// streaming_differential_test compares the streamed and materialized
+// generators with each other, so a change that shifts both alike passes
+// it; these digests catch that.
+constexpr std::uint64_t kSparseDiurnalDigest = 0x4829cbf0e68d61f9ULL;
+constexpr std::uint64_t kSparseDiurnalPartitionDigest = 0x14a4a89d70af4093ULL;
+constexpr std::uint64_t kDenseFlatDigest = 0x02266ea65277460fULL;
+
+TEST(AzureModel, SparseDiurnalBytesArePinned)
+{
+    const AzureModelConfig config = sparseDiurnalConfig();
+    EXPECT_EQ(traceFingerprint(generateAzureTrace(config)),
+              kSparseDiurnalDigest);
+    EXPECT_EQ(sourceFingerprint(*makeAzureSource(config)),
+              kSparseDiurnalDigest);
+    auto part = makeAzureSource(
+        config, [](FunctionId id) { return id % 3 == 1; });
+    EXPECT_EQ(sourceFingerprint(*part), kSparseDiurnalPartitionDigest);
+}
+
+TEST(AzureModel, DenseFlatBytesArePinned)
+{
+    const AzureModelConfig config = denseFlatConfig();
+    EXPECT_EQ(traceFingerprint(generateAzureTrace(config)),
+              kDenseFlatDigest);
+    EXPECT_EQ(sourceFingerprint(*makeAzureSource(config)),
+              kDenseFlatDigest);
 }
 
 }  // namespace

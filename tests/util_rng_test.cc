@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -163,6 +166,81 @@ TEST(Rng, PoissonLargeMeanUsesNormalApprox)
         sum += v;
     }
     EXPECT_NEAR(static_cast<double>(sum) / n, 100.0, 0.5);
+}
+
+/** The plain Knuth loop (and the normal approximation past 30) that
+ *  Rng::poisson must reproduce draw for draw. */
+std::int64_t
+knuthPoisson(Rng& rng, double mean)
+{
+    if (mean == 0)
+        return 0;
+    if (mean < 30.0) {
+        const double limit = std::exp(-mean);
+        std::int64_t k = 0;
+        double p = 1.0;
+        do {
+            ++k;
+            p *= rng.uniform();
+        } while (p > limit);
+        return k - 1;
+    }
+    const double v = rng.normal(mean, std::sqrt(mean));
+    return std::max<std::int64_t>(0,
+                                  static_cast<std::int64_t>(std::lround(v)));
+}
+
+/** Zero, the smallest subnormal, tiny, small, around 1, both sides of
+ *  the normal-approximation switch at 30, and far past it. */
+const std::vector<double> kPoissonMeans = {
+    0.0,
+    std::numeric_limits<double>::denorm_min(),
+    1e-300,
+    0x1.0p-53,
+    1e-9,
+    0.017,
+    0.5,
+    std::nextafter(1.0, 0.0),
+    1.0,
+    2.5,
+    29.999,
+    30.0,
+    240.0,
+};
+
+TEST(Rng, PoissonMatchesKnuthOracleDrawForDraw)
+{
+    for (const double mean : kPoissonMeans) {
+        for (std::uint64_t seed = 0; seed < 1'000; ++seed) {
+            Rng fast(seed);
+            Rng oracle(seed);
+            for (int draw = 0; draw < 5; ++draw) {
+                ASSERT_EQ(fast.poisson(mean), knuthPoisson(oracle, mean))
+                    << "mean " << mean << " seed " << seed << " draw "
+                    << draw;
+            }
+            // Same uniforms consumed: the generators stay in lockstep.
+            ASSERT_EQ(fast.nextU64(), oracle.nextU64())
+                << "mean " << mean << " seed " << seed;
+        }
+    }
+}
+
+TEST(Rng, PoissonZeroBoundStaysAnUlpBelowExp)
+{
+    // The fast path answers 0 for u <= bound without computing exp, so
+    // the bound must sit below std::exp(-mean) even if exp() were off by
+    // one ulp. Check the listed means and every power of two below 1.
+    std::vector<double> means = kPoissonMeans;
+    for (int e = -1; e >= -1074; --e)
+        means.push_back(std::ldexp(1.0, e));
+    for (const double mean : means) {
+        if (mean == 0 || !(mean < 30.0))
+            continue;
+        EXPECT_LE(Rng::poissonZeroBound(mean),
+                  std::nextafter(std::exp(-mean), 0.0))
+            << "mean " << mean;
+    }
 }
 
 TEST(Rng, WeightedIndexRespectsWeights)
