@@ -55,8 +55,8 @@ main(int argc, char** argv)
                         "OW hit%", "FC warm", "FC cold", "FC drop",
                         "FC hit%", "OW lat (s)", "FC lat (s)"});
     for (const auto& fn : trace.functions()) {
-        const FunctionOutcome& ow = cmp.openwhisk.per_function[fn.id];
-        const FunctionOutcome& fc = cmp.faascache.per_function[fn.id];
+        const FunctionOutcome ow = cmp.openwhisk.outcomeOf(fn.id);
+        const FunctionOutcome fc = cmp.faascache.outcomeOf(fn.id);
         auto hit = [](const FunctionOutcome& o) {
             return o.served() > 0
                 ? 100.0 * static_cast<double>(o.warm) /

@@ -164,7 +164,7 @@ BM_PoolChurn(benchmark::State& state)
     const std::size_t num_functions =
         std::max<std::size_t>(1, num_containers / kContainersPerFunction);
     ContainerPool pool(1e12, backend);
-    pool.reserve(num_containers, num_functions);
+    pool.reserve(num_containers);
     std::vector<ContainerId> ids = fillPoolDense(pool, num_containers);
 
     Rng rng(13);
@@ -196,7 +196,7 @@ BM_PoolLifecycle(benchmark::State& state)
     const PoolBackend backend = backendFromIndex(state.range(0));
     const auto num_containers = static_cast<std::size_t>(state.range(1));
     ContainerPool pool(1e12, backend);
-    pool.reserve(num_containers, num_containers / kContainersPerFunction);
+    pool.reserve(num_containers);
     const std::vector<ContainerId> ids = fillPoolDense(pool, num_containers);
 
     Rng rng(17);
@@ -231,7 +231,7 @@ BM_PoolVictimSelection(benchmark::State& state)
     const std::size_t num_functions =
         std::max<std::size_t>(1, num_containers / kContainersPerFunction);
     policy->reserveFunctions(num_functions);
-    pool.reserve(num_containers, num_functions);
+    pool.reserve(num_containers);
     for (std::size_t i = 0; i < num_containers; ++i) {
         const FunctionSpec spec =
             specOf(static_cast<FunctionId>(i % num_functions));

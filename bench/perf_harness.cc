@@ -161,7 +161,7 @@ runChurn(PoolBackend backend, std::size_t num_containers, std::int64_t ops)
     const std::size_t num_functions =
         std::max<std::size_t>(1, num_containers / kContainersPerFunction);
     ContainerPool pool(1e12, backend);
-    pool.reserve(num_containers, num_functions);
+    pool.reserve(num_containers);
     std::vector<ContainerId> ids = fillPoolDense(pool, num_containers);
 
     Rng rng(13);
@@ -187,7 +187,7 @@ runLifecycle(PoolBackend backend, std::size_t num_containers,
 {
     constexpr std::size_t kBatch = 64;
     ContainerPool pool(1e12, backend);
-    pool.reserve(num_containers, num_containers / kContainersPerFunction);
+    pool.reserve(num_containers);
     const std::vector<ContainerId> ids =
         fillPoolDense(pool, num_containers);
 

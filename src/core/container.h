@@ -128,6 +128,9 @@ class Container
     /** Owning pool (null for standalone containers) and slab slot. */
     ContainerPool* pool_ = nullptr;
     std::uint32_t pool_slot_ = 0;
+    /** The slab pool's row of this container's function, cached at add
+     *  so busy/idle/remove transitions skip the id lookup. */
+    std::uint32_t pool_row_ = 0;
 };
 
 }  // namespace faascache

@@ -80,12 +80,11 @@ ContainerPool::idleCount() const
 }
 
 void
-ContainerPool::reserve(std::size_t containers, std::size_t functions)
+ContainerPool::reserve(std::size_t containers)
 {
     released_logged_.reserve(containers);
     if (backend_ == PoolBackend::ReferenceMap) {
         containers_.reserve(containers);
-        by_function_.reserve(functions);
         free_ref_slots_.reserve(containers);
         ref_by_slot_.reserve(containers);
         return;
@@ -93,7 +92,6 @@ ContainerPool::reserve(std::size_t containers, std::size_t functions)
     const std::size_t chunks = (containers + kChunkSize - 1) / kChunkSize;
     chunks_.reserve(chunks);
     slot_by_id_.reserve(std::max(containers, kMinCompactWindow));
-    functions_.reserve(functions);
 }
 
 std::uint32_t
@@ -141,9 +139,9 @@ ContainerPool::unlinkList(std::uint32_t& head, std::uint32_t slot)
 }
 
 void
-ContainerPool::insertIdleSorted(FunctionId function, std::uint32_t slot)
+ContainerPool::insertIdleSorted(std::uint32_t row, std::uint32_t slot)
 {
-    std::uint32_t& head = functions_[function].idle_head;
+    std::uint32_t& head = functions_.row(row).idle_head;
     const Container& c = slotAt(slot).container;
     std::uint32_t prev = kNilSlot;
     std::uint32_t cur = head;
@@ -199,7 +197,7 @@ ContainerPool::onContainerBusy(Container& c)
     if (backend_ != PoolBackend::Slab)
         return;
     const std::uint32_t slot = c.pool_slot_;
-    unlinkList(functions_[c.function()].idle_head, slot);
+    unlinkList(functions_.row(c.pool_row_).idle_head, slot);
     pushList(busy_head_, slot);
 }
 
@@ -217,7 +215,7 @@ ContainerPool::onContainerIdle(Container& c)
     if (backend_ != PoolBackend::Slab)
         return;
     unlinkList(busy_head_, slot);
-    insertIdleSorted(c.function(), slot);
+    insertIdleSorted(c.pool_row_, slot);
 }
 
 Container&
@@ -257,8 +255,10 @@ ContainerPool::add(const FunctionSpec& function, TimeUs now, bool prewarmed)
     s.container = Container(id, function, now, prewarmed);
     s.container.bindPool(this, slot);
     s.live = true;
-    insertIdleSorted(function.id, slot);
-    ++functions_[function.id].count;
+    const std::uint32_t row = functions_.rowOf(function.id);
+    s.container.pool_row_ = row;
+    insertIdleSorted(row, slot);
+    ++functions_.row(row).count;
 
     // Ids are sequential, so the new id always lands one past the window.
     assert(id - id_base_ == slot_by_id_.size());
@@ -300,7 +300,7 @@ ContainerPool::remove(ContainerId id)
     Slot& s = slotAt(slot);
     assert(s.live);
     assert(s.container.idle());
-    FunctionSlots& fs = functions_[s.container.function()];
+    FunctionSlots& fs = functions_.row(s.container.pool_row_);
     unlinkList(fs.idle_head, slot);
     --fs.count;
     used_mb_ -= s.container.memMb();
@@ -422,14 +422,12 @@ ContainerPool::auditInvariants(Auditor& audit, TimeUs now) const
     MemMb mem = 0;
     std::size_t live = 0;
     std::size_t busy = 0;
-    std::vector<std::size_t> per_fn_live;
+    FunctionTable<std::size_t> per_fn_live;
     forEach([&](const Container& c) {
         mem += c.memMb();
         ++live;
         if (c.busy())
             ++busy;
-        if (c.function() >= per_fn_live.size())
-            per_fn_live.resize(c.function() + 1, 0);
         ++per_fn_live[c.function()];
     });
     const double eps = 1e-6 * std::max(1.0, std::abs(used_mb_)) + 1e-6;
@@ -558,8 +556,8 @@ ContainerPool::auditInvariants(Auditor& audit, TimeUs now) const
             if (idle_listed > slot_count_)
                 break;
         }
-        const std::size_t expect =
-            fn < per_fn_live.size() ? per_fn_live[fn] : 0;
+        const std::size_t* counted = per_fn_live.find(fn);
+        const std::size_t expect = counted != nullptr ? *counted : 0;
         if (fs.count != expect) {
             audit.fail("pool-fn-count", now,
                        static_cast<std::int64_t>(fn),
@@ -571,6 +569,17 @@ ContainerPool::auditInvariants(Auditor& audit, TimeUs now) const
     audit.require(idle_listed + busy == live, "pool-idle-list", now, -1,
                   "idle lists + busy list do not partition the live "
                   "population");
+
+    // Every container's cached row is its function's row.
+    forEach([&](const Container& c) {
+        audit.require(c.pool_row_ < functions_.size() &&
+                          &functions_.row(c.pool_row_) ==
+                              functions_.find(c.function()),
+                      "pool-row-cache", now,
+                      static_cast<std::int64_t>(c.id()),
+                      "container's cached function row is not its "
+                      "function's row");
+    });
 
     // Dense id→slot map round-trips: every window entry either dead or
     // pointing at the live container with that id.

@@ -95,12 +95,11 @@ class ContainerPool
     std::size_t idleCount() const;
 
     /**
-     * Pre-size internal storage for an expected load (slots for
-     * `containers` concurrent containers, id tables for `functions`
-     * distinct functions). Purely an allocation hint; growing past it is
-     * always safe.
+     * Pre-size internal storage for `containers` concurrent containers.
+     * Purely an allocation hint; growing past it is always safe.
+     * Per-function state is sized by the functions actually added.
      */
-    void reserve(std::size_t containers, std::size_t functions);
+    void reserve(std::size_t containers);
 
     /**
      * Exclusive upper bound on Container::poolSlot() values handed out
@@ -270,12 +269,12 @@ class ContainerPool
     /** Push `slot` onto the list rooted at `head`. */
     void pushList(std::uint32_t& head, std::uint32_t slot);
     /**
-     * Insert `slot` into its function's idle list, keeping the list
-     * sorted warmest-first. A newly idle container's lastUsed is its
-     * invocation start time, so it usually outranks (or nearly
-     * outranks) everything already idle and the walk stays short.
+     * Insert `slot` into the idle list of its function's row `row`,
+     * keeping the list sorted warmest-first. A newly idle container's
+     * lastUsed is its invocation start time, so it usually outranks (or
+     * nearly outranks) everything already idle and the walk stays short.
      */
-    void insertIdleSorted(FunctionId function, std::uint32_t slot);
+    void insertIdleSorted(std::uint32_t row, std::uint32_t slot);
     /** Remove `slot` from the list rooted at `head`. */
     void unlinkList(std::uint32_t& head, std::uint32_t slot);
 
@@ -338,7 +337,8 @@ class ContainerPool
     std::uint32_t slot_count_ = 0;     ///< Slots ever carved from chunks.
     std::uint32_t free_head_ = kNilSlot;
     std::uint32_t busy_head_ = kNilSlot;
-    /** Per-function idle lists and live counts, sized by use. */
+    /** Per-function idle lists and live counts, sized by use; each
+     *  container caches its row (Container::pool_row_). */
     FunctionTable<FunctionSlots> functions_;
     /** id→slot, indexed by (id - id_base_); kNilSlot for dead ids. */
     std::vector<std::uint32_t> slot_by_id_;

@@ -8,11 +8,10 @@
  * container is terminated.
  *
  * FunctionId is a dense uint32 assigned by the trace catalog. The table
- * is a FunctionTable (util/function_table.h): a catalog-sized slot map
- * in front of rows stored in first-seen order, so a per-arrival lookup
- * is two array loads instead of a hash probe, and a policy on an
- * invoker that serves a few functions of a large catalog touches a few
- * rows instead of one catalog-sized array (DESIGN.md §4d).
+ * is a FunctionTable (util/function_table.h): rows in first-seen order
+ * behind an id index sized by those rows, so a policy on an invoker
+ * that serves a few functions of a large catalog holds a few rows and
+ * nothing catalog-sized (DESIGN.md §4d).
  */
 #ifndef FAASCACHE_CORE_FUNCTION_STATS_H_
 #define FAASCACHE_CORE_FUNCTION_STATS_H_
@@ -57,9 +56,6 @@ class FunctionStatsTable
 
     /** Reset the Greedy-Dual frequency (last container evicted). */
     void resetFrequency(FunctionId function);
-
-    /** Pre-size for ids in [0, functions) (allocation hint only). */
-    void reserve(std::size_t functions) { table_.reserve(functions); }
 
     /** Number of functions ever observed. */
     std::size_t size() const { return table_.size(); }

@@ -28,25 +28,22 @@ GreedyDualPolicy::GreedyDualPolicy(GreedyDualConfig config) : config_(config)
 {
 }
 
-void
-GreedyDualPolicy::reserveFunctions(std::size_t n)
-{
-    KeepAlivePolicy::reserveFunctions(n);
-    characteristics_.reserve(n);
-}
-
 double
 GreedyDualPolicy::valueTerm(FunctionId function) const
 {
     const CostSize* cs = characteristics_.find(function);
-    if (cs == nullptr)
-        return 0.0;
+    return cs == nullptr ? 0.0 : valueTerm(function, *cs);
+}
+
+double
+GreedyDualPolicy::valueTerm(FunctionId function, const CostSize& cs) const
+{
     const double freq = config_.use_frequency
         ? static_cast<double>(std::max<std::int64_t>(
               1, stats_.of(function).frequency))
         : 1.0;
-    const double cost = config_.use_cost ? cs->cost_sec : 1.0;
-    const double size = config_.use_size ? cs->size : 1.0;
+    const double cost = config_.use_cost ? cs.cost_sec : 1.0;
+    const double size = config_.use_size ? cs.size : 1.0;
     return freq * cost / size;
 }
 
@@ -78,7 +75,7 @@ GreedyDualPolicy::touch(Container& container, const FunctionSpec& function)
     cs = CostSize{toSeconds(function.initTime()), scalarSizeOf(function)};
     assert(cs.size > 0.0);
     container.setPolicyClock(clock_);
-    container.setPriority(clock_ + valueTerm(function.id));
+    container.setPriority(clock_ + valueTerm(function.id, cs));
     // Drivers start the invocation before this hook, so the container
     // is busy until its release logs it for the next search (a prewarmed
     // one was logged by the pool's add): retire its entry until then.

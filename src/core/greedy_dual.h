@@ -125,8 +125,6 @@ class GreedyDualPolicy : public KeepAlivePolicy
     std::string name() const override { return "GD"; }
     bool resourceConserving() const override { return true; }
 
-    void reserveFunctions(std::size_t n) override;
-
     void onWarmStart(Container& container, const FunctionSpec& function,
                      TimeUs now) override;
     void onColdStart(Container& container, const FunctionSpec& function,
@@ -151,9 +149,18 @@ class GreedyDualPolicy : public KeepAlivePolicy
     std::size_t heapSize() const { return heap_.size() + held_.size(); }
 
   private:
+    struct CostSize
+    {
+        double cost_sec = 0.0;
+        /** Scalarized size under the configured SizeNorm (> 0). */
+        double size = 0.0;
+    };
+
     /** Frequency x cost / size term for `function` under the current
-     *  frequency (no clock component). */
+     *  frequency (no clock component); 0 for a function never used. */
     double valueTerm(FunctionId function) const;
+    /** The same, given `function`'s cost/size row. */
+    double valueTerm(FunctionId function, const CostSize& cs) const;
 
     /** Stamp the container's clock snapshot and priority at use. */
     void touch(Container& container, const FunctionSpec& function);
@@ -207,13 +214,6 @@ class GreedyDualPolicy : public KeepAlivePolicy
 
     /** Drop superseded entries once they dominate the heap. */
     void maybeCompact();
-
-    struct CostSize
-    {
-        double cost_sec = 0.0;
-        /** Scalarized size under the configured SizeNorm (> 0). */
-        double size = 0.0;
-    };
 
     GreedyDualConfig config_;
     double clock_ = 0.0;

@@ -12,23 +12,13 @@ HistogramPolicy::HistogramPolicy(HistogramPolicyConfig config)
     assert(config.num_buckets > 0);
 }
 
-void
-HistogramPolicy::reserveFunctions(std::size_t n)
-{
-    KeepAlivePolicy::reserveFunctions(n);
-    models_.reserve(n);
-}
-
 HistogramPolicy::FunctionModel&
 HistogramPolicy::modelOf(FunctionId function)
 {
-    if (function >= models_.size()) {
-        models_.resize(std::max<std::size_t>(
-            static_cast<std::size_t>(function) + 1, models_.size() * 2));
-    }
-    if (!models_[function].has_value())
-        models_[function].emplace(config_);
-    return *models_[function];
+    std::optional<FunctionModel>& model = models_[function];
+    if (!model.has_value())
+        model.emplace(config_);
+    return *model;
 }
 
 void
@@ -48,9 +38,10 @@ HistogramPolicy::windowFor(FunctionId function) const
     KeepAliveWindow window;
     window.keepalive_us = config_.generic_ttl_us;
 
-    if (function >= models_.size() || !models_[function].has_value())
+    const std::optional<FunctionModel>* found = models_.find(function);
+    if (found == nullptr || !found->has_value())
         return window;
-    const FunctionModel& model = *models_[function];
+    const FunctionModel& model = **found;
     if (model.iat_moments.count() < config_.min_samples)
         return window;
     if (model.iat_moments.coefficientOfVariation() > config_.cov_threshold)

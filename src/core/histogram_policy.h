@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "core/keepalive_policy.h"
+#include "util/function_table.h"
 #include "util/histogram.h"
 #include "util/welford.h"
 
@@ -94,8 +95,6 @@ class HistogramPolicy : public KeepAlivePolicy
 
     std::string name() const override { return "HIST"; }
 
-    void reserveFunctions(std::size_t n) override;
-
     void onInvocationArrival(const FunctionSpec& function,
                              TimeUs now) override;
     void onWarmStart(Container& container, const FunctionSpec& function,
@@ -154,8 +153,8 @@ class HistogramPolicy : public KeepAlivePolicy
     };
 
     HistogramPolicyConfig config_;
-    /** Per-function IAT model, indexed by dense function id. */
-    std::vector<std::optional<FunctionModel>> models_;
+    /** Per-function IAT model, sized by the functions seen. */
+    FunctionTable<std::optional<FunctionModel>> models_;
     /** Per-container lease, indexed by Container::poolSlot(). */
     std::vector<Lease> leases_;
 

@@ -3,12 +3,6 @@
 namespace faascache {
 
 void
-KeepAlivePolicy::reserveFunctions(std::size_t n)
-{
-    stats_.reserve(n);
-}
-
-void
 KeepAlivePolicy::onInvocationArrival(const FunctionSpec& function, TimeUs now)
 {
     stats_.recordArrival(function.id, now);

@@ -33,11 +33,12 @@ class KeepAlivePolicy
 
     /**
      * Allocation hint: function ids will fall in [0, n). Drivers call
-     * this once with the trace catalog size before the run so dense
-     * per-function tables can be sized up front. Overrides must call the
-     * base. Never required for correctness — tables grow on demand.
+     * this once with the trace catalog size before the run. The built-in
+     * policies ignore it, since their per-function tables are sized by
+     * the functions they see, not by the catalog (DESIGN.md §4d); a
+     * wrapper forwards it. Never required for correctness.
      */
-    virtual void reserveFunctions(std::size_t n);
+    virtual void reserveFunctions(std::size_t /*n*/) {}
 
     /**
      * Notification: an invocation of `function` arrived at `now`, before

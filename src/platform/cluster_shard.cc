@@ -836,6 +836,9 @@ runShardWorker(WindowedRun& run, std::size_t shard)
     run.shard_stream_length[shard] = cursor_index;
     for (std::size_t s = first_server; s < end_server; ++s) {
         run.server_results[s] = servers[s]->finish(horizon);
+        // Its result is out: free the pool, policy and tables now, so
+        // the shard holds one finished server's state at a time.
+        servers[s].reset();
         ctr.breaker_opens += breakers[s].opens();
         ctr.breaker_closes += breakers[s].closes();
         ctr.breaker_probes += breakers[s].probes();

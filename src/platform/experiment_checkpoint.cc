@@ -1,6 +1,8 @@
 #include "platform/experiment_checkpoint.h"
 
+#include <cassert>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <unordered_map>
@@ -174,15 +176,39 @@ encodePlatformFields(std::ostringstream& out, const PlatformResult& r)
     out << ' ';
     encodeOverloadFields(out, r.overload);
     out << ' ' << r.last_congested_us;
-    out << ' ' << r.per_function.size();
-    for (const FunctionOutcome& f : r.per_function)
-        out << ' ' << f.warm << ' ' << f.cold << ' ' << f.dropped;
+    // The sparse records are written as the catalog-wide rows the
+    // format has always carried: a function without a record is a zero
+    // row.
+    const std::vector<PlatformResult::FunctionRecord>& records =
+        r.function_records;
+    out << ' ' << r.catalog_size;
+    auto record = records.begin();
+    for (std::size_t f = 0; f < r.catalog_size; ++f) {
+        if (record != records.end() && record->function == f) {
+            const FunctionOutcome& o = record->outcome;
+            out << ' ' << o.warm << ' ' << o.cold << ' ' << o.dropped;
+            ++record;
+        } else {
+            out << " 0 0 0";
+        }
+    }
     out << ' ' << r.latencies_sec.size();
     for (double latency : r.latencies_sec)
         out << ' ' << hexDoubleToken(latency);
-    out << ' ' << r.latency_sum_sec.size();
-    for (double sum : r.latency_sum_sec)
-        out << ' ' << hexDoubleToken(sum);
+    out << ' ' << r.catalog_size;
+    record = records.begin();
+    const std::string zero_sum = hexDoubleToken(0.0);
+    for (std::size_t f = 0; f < r.catalog_size; ++f) {
+        if (record != records.end() && record->function == f) {
+            out << ' ' << hexDoubleToken(record->latency_sum_sec);
+            ++record;
+        } else {
+            out << ' ' << zero_sum;
+        }
+    }
+    // Records are ascending ids below catalog_size, so every one was
+    // written.
+    assert(record == records.end());
 }
 
 bool
@@ -205,14 +231,23 @@ decodePlatformFields(TokenReader& in, PlatformResult* result)
         !in.nextI64(&r.last_congested_us))
         return false;
 
+    // Catalog-wide rows in, one record per non-zero outcome out. The
+    // sums must cover the same catalog, and a function without a record
+    // must sum to +0.0, or the record set could not re-encode these
+    // bytes.
     std::size_t count = 0;
     if (!in.nextCount(&count))
         return false;
-    r.per_function.resize(count);
-    for (FunctionOutcome& f : r.per_function) {
-        if (!in.nextI64(&f.warm) || !in.nextI64(&f.cold) ||
-            !in.nextI64(&f.dropped))
+    r.catalog_size = count;
+    for (std::size_t f = 0; f < r.catalog_size; ++f) {
+        FunctionOutcome o;
+        if (!in.nextI64(&o.warm) || !in.nextI64(&o.cold) ||
+            !in.nextI64(&o.dropped))
             return false;
+        if (o != FunctionOutcome{}) {
+            r.function_records.push_back(
+                {static_cast<FunctionId>(f), o, 0.0});
+        }
     }
     if (!in.nextCount(&count))
         return false;
@@ -221,12 +256,19 @@ decodePlatformFields(TokenReader& in, PlatformResult* result)
         if (!in.nextDouble(&latency))
             return false;
     }
-    if (!in.nextCount(&count))
+    if (!in.nextCount(&count) || count != r.catalog_size)
         return false;
-    r.latency_sum_sec.resize(count);
-    for (double& sum : r.latency_sum_sec) {
+    auto record = r.function_records.begin();
+    for (std::size_t f = 0; f < r.catalog_size; ++f) {
+        double sum = 0.0;
         if (!in.nextDouble(&sum))
             return false;
+        if (record != r.function_records.end() && record->function == f) {
+            record->latency_sum_sec = sum;
+            ++record;
+        } else if (sum != 0.0 || std::signbit(sum)) {
+            return false;
+        }
     }
     *result = std::move(r);
     return true;

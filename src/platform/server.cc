@@ -38,9 +38,10 @@ ServerConfig::validate() const
             "ServerConfig: queue_capacity must be > 0 (a zero-length "
             "buffer would drop every request)");
     }
-    if (queue_timeout_us <= 0) {
+    if (queue_timeout_us <= 0 || queue_timeout_us > kMaxArrivalUs) {
         throw std::invalid_argument(
-            "ServerConfig: queue_timeout_us must be > 0, got " +
+            "ServerConfig: queue_timeout_us must be in (0, " +
+            std::to_string(kMaxArrivalUs) + "], got " +
             std::to_string(queue_timeout_us));
     }
     if (maintenance_interval_us <= 0) {
@@ -87,14 +88,44 @@ PlatformResult::meanLatencySec() const
     return sum / static_cast<double>(latencies_sec.size());
 }
 
+const PlatformResult::FunctionRecord*
+PlatformResult::recordOf(FunctionId function) const
+{
+    if (function >= catalog_size) {
+        throw std::out_of_range("PlatformResult: function " +
+                                std::to_string(function) +
+                                " outside the catalog of " +
+                                std::to_string(catalog_size));
+    }
+    const auto it = std::lower_bound(
+        function_records.begin(), function_records.end(), function,
+        [](const FunctionRecord& r, FunctionId f) { return r.function < f; });
+    return it != function_records.end() && it->function == function ? &*it
+                                                                   : nullptr;
+}
+
+FunctionOutcome
+PlatformResult::outcomeOf(FunctionId function) const
+{
+    const FunctionRecord* record = recordOf(function);
+    return record != nullptr ? record->outcome : FunctionOutcome{};
+}
+
+double
+PlatformResult::latencySumOf(FunctionId function) const
+{
+    const FunctionRecord* record = recordOf(function);
+    return record != nullptr ? record->latency_sum_sec : 0.0;
+}
+
 double
 PlatformResult::meanLatencySecOf(FunctionId function) const
 {
-    const auto& outcome = per_function.at(function);
-    const std::int64_t n = outcome.served();
+    const FunctionRecord* record = recordOf(function);
+    const std::int64_t n = record != nullptr ? record->outcome.served() : 0;
     if (n == 0)
         return 0.0;
-    return latency_sum_sec.at(function) / static_cast<double>(n);
+    return record->latency_sum_sec / static_cast<double>(n);
 }
 
 Server::Server(std::unique_ptr<KeepAlivePolicy> policy, ServerConfig config)
@@ -895,7 +926,6 @@ Server::beginRunCommon(const std::vector<FunctionSpec>& functions,
     result_.policy_name = policy_->name();
     result_.config = config_;
     tallies_ = FunctionTable<FunctionTally>{};
-    tallies_.reserve(functions.size());
     // At most one latency sample per invocation; one up-front grow
     // instead of doubling through the run.
     result_.latencies_sec.reserve(invocation_hint);
@@ -908,9 +938,9 @@ Server::beginRunCommon(const std::vector<FunctionSpec>& functions,
     audit_arrivals_ = 0;
     audit_resolved_ = 0;
     audit_external_returns_ = 0;
-    // Allocation hints: size dense per-function tables from the catalog.
+    // Allocation hints; per-function tables are sized by use.
     policy_->reserveFunctions(functions.size());
-    pool_.reserve(/*containers=*/256, functions.size());
+    pool_.reserve(/*containers=*/256);
 }
 
 void
@@ -1076,11 +1106,13 @@ Server::closeRun(TimeUs horizon_us)
     // observation window.
     if (down_ && horizon_us > down_since_)
         result_.robustness.downtime_us += horizon_us - down_since_;
-    result_.per_function.assign(catalog_->size(), FunctionOutcome{});
-    result_.latency_sum_sec.assign(catalog_->size(), 0.0);
+    result_.catalog_size = catalog_->size();
+    result_.function_records.reserve(tallies_.size());
     tallies_.forEachById([this](FunctionId f, const FunctionTally& t) {
-        result_.per_function[f] = t.outcome;
-        result_.latency_sum_sec[f] = t.latency_sum_sec;
+        if (t.outcome != FunctionOutcome{}) {
+            result_.function_records.push_back(
+                {f, t.outcome, t.latency_sum_sec});
+        }
     });
     result_.overload.admission_violations = admission_.violations();
     result_.overload.brownout_windows = brownout_.windows();

@@ -217,15 +217,48 @@ struct PlatformResult
      */
     TimeUs last_congested_us = 0;
 
-    /** Per-function warm/cold/dropped, indexed by FunctionId. */
-    std::vector<FunctionOutcome> per_function;
+    /** One function's accounting on this server. */
+    struct FunctionRecord
+    {
+        FunctionId function = kInvalidFunction;
+        /** Warm/cold/dropped; never all zero. */
+        FunctionOutcome outcome;
+        /** Sum of the function's latencies, seconds (for means). */
+        double latency_sum_sec = 0.0;
+
+        friend bool operator==(const FunctionRecord&,
+                               const FunctionRecord&) = default;
+    };
+
+    /** Functions in the run's catalog (ids are below it). */
+    std::size_t catalog_size = 0;
+
+    /**
+     * Per-function accounting, sparse: one record per function this
+     * server resolved at least one request of (non-zero outcome), in
+     * ascending id order. Every other catalog function has a zero
+     * outcome and a zero latency sum. A fleet server resolves a thin
+     * slice of the catalog, so its result holds that slice, not one
+     * row per catalog function; the checkpoint codec still writes the
+     * catalog-wide rows (DESIGN.md §4d).
+     */
+    std::vector<FunctionRecord> function_records;
 
     /** User-visible latency (queue wait + execution) per served
      *  invocation, seconds, in completion order. */
     std::vector<double> latencies_sec;
 
-    /** Per-function sum of latencies, seconds (for means). */
-    std::vector<double> latency_sum_sec;
+    /**
+     * Warm/cold/dropped of `function` (zero if it has no record).
+     * @throws std::out_of_range if function >= catalog_size.
+     */
+    FunctionOutcome outcomeOf(FunctionId function) const;
+
+    /**
+     * Sum of `function`'s latencies, seconds (0 if it has no record).
+     * @throws std::out_of_range if function >= catalog_size.
+     */
+    double latencySumOf(FunctionId function) const;
 
     /** Invocations that completed on this server. */
     std::int64_t served() const { return warm_starts + cold_starts; }
@@ -256,6 +289,10 @@ struct PlatformResult
 
     /** Latency distribution summary, seconds. */
     Summary latencySummary() const { return summarize(latencies_sec); }
+
+  private:
+    /** `function`'s record, or null; throws like outcomeOf(). */
+    const FunctionRecord* recordOf(FunctionId function) const;
 };
 
 /** FaaS invoker server model. */
@@ -643,7 +680,7 @@ class Server
     PlatformResult result_;
 
     /** Per-function accounting of the current run, sized by use;
-     *  closeRun() expands it into result_'s catalog-indexed vectors. */
+     *  closeRun() copies its non-zero rows into result_'s records. */
     struct FunctionTally
     {
         FunctionOutcome outcome;

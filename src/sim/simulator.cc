@@ -76,7 +76,7 @@ Simulator::initCommon()
     result_.per_function.resize(functions_->size());
     // Allocation hints: size dense per-function tables from the catalog.
     policy_->reserveFunctions(functions_->size());
-    pool_.reserve(/*containers=*/256, functions_->size());
+    pool_.reserve(/*containers=*/256);
     // Registered periodic tasks: both start due at t=0 (a sample of the
     // empty pool, a reclaim pass over it) and re-arm every interval; a
     // non-positive interval disables the schedule entirely.

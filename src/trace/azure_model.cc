@@ -58,23 +58,12 @@ AzureMinuteGrid::nextBusyMinute(Rng& rng, double rate_per_sec,
     return end;
 }
 
-Trace
-generateAzureTrace(const AzureModelConfig& config)
+AzureCatalog
+drawAzureCatalog(const AzureModelConfig& config, Rng& rng)
 {
-    Rng rng(config.seed);
-    Trace population(config.name);
-    population.reserveFunctions(config.num_functions);
-
-    struct FunctionModel
-    {
-        double rate_per_sec;
-    };
-    std::vector<FunctionModel> models;
-    models.reserve(config.num_functions);
-
-    const double ln = std::numbers::ln10;  // unused guard against ln() typo
-    (void)ln;
-
+    AzureCatalog catalog;
+    catalog.functions.reserve(config.num_functions);
+    catalog.rates_per_sec.reserve(config.num_functions);
     for (std::size_t i = 0; i < config.num_functions; ++i) {
         const double iat_sec = rng.lognormal(std::log(config.iat_median_sec),
                                              config.iat_sigma);
@@ -100,11 +89,24 @@ generateAzureTrace(const AzureModelConfig& config)
                            config.init_ratio_max);
 
         const auto id = static_cast<FunctionId>(i);
-        population.addFunction(makeFunction(
+        catalog.functions.push_back(makeFunction(
             id, "fn-" + std::to_string(i), mem, fromMillis(warm_ms),
             fromMillis(warm_ms * ratio)));
-        models.push_back(FunctionModel{rate});
+        catalog.rates_per_sec.push_back(rate);
     }
+    return catalog;
+}
+
+Trace
+generateAzureTrace(const AzureModelConfig& config)
+{
+    Rng rng(config.seed);
+    AzureCatalog catalog = drawAzureCatalog(config, rng);
+    const std::vector<double>& rates = catalog.rates_per_sec;
+    Trace population(config.name);
+    population.reserveFunctions(config.num_functions);
+    for (FunctionSpec& spec : catalog.functions)
+        population.addFunction(std::move(spec));
 
     // Emit invocations minute bucket by minute bucket, per function, using
     // the paper's replay rule.
@@ -115,21 +117,17 @@ generateAzureTrace(const AzureModelConfig& config)
     // multiplier averages ~1 over full periods). One allocation instead
     // of a realloc cascade on large traces.
     double expected_invocations = 0.0;
-    for (const FunctionModel& model : models) {
-        expected_invocations +=
-            model.rate_per_sec * 60.0 * static_cast<double>(num_minutes);
-    }
+    for (const double rate : rates)
+        expected_invocations += rate * 60.0 * static_cast<double>(num_minutes);
     population.reserveInvocations(
         static_cast<std::size_t>(expected_invocations * 1.02) + 64);
     for (std::size_t i = 0; i < config.num_functions; ++i) {
         Rng fn_rng = rng.split();
         std::int64_t count = 0;
         for (std::int64_t minute =
-                 grid.nextBusyMinute(fn_rng, models[i].rate_per_sec, -1,
-                                     count);
+                 grid.nextBusyMinute(fn_rng, rates[i], -1, count);
              minute < num_minutes;
-             minute = grid.nextBusyMinute(fn_rng, models[i].rate_per_sec,
-                                          minute, count)) {
+             minute = grid.nextBusyMinute(fn_rng, rates[i], minute, count)) {
             const TimeUs bucket_start = minute * kMinute;
             if (count == 1) {
                 population.addInvocation(static_cast<FunctionId>(i),

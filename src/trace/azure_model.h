@@ -111,14 +111,31 @@ struct AzureModelConfig
 /** Generate a workload trace from the model. Deterministic in the config. */
 Trace generateAzureTrace(const AzureModelConfig& config);
 
+class Rng;
+
+/** The model's function population before any arrival is drawn. */
+struct AzureCatalog
+{
+    /** Functions 0..num_functions-1, named "fn-<id>". */
+    std::vector<FunctionSpec> functions;
+    /** Each function's mean arrival rate, invocations per second. */
+    std::vector<double> rates_per_sec;
+};
+
+/**
+ * Draw the per-function catalog (lognormal rate, memory, warm time and
+ * init ratio, clamped, with the utilization cap on warm time) from
+ * `rng`, which is left at the state the arrival draws start from. The
+ * one catalog draw behind generateAzureTrace() and makeAzureSource().
+ */
+AzureCatalog drawAzureCatalog(const AzureModelConfig& config, Rng& rng);
+
 /**
  * Diurnal rate multiplier at time t for the given peak-to-mean ratio and
  * period: a raised sinusoid with mean 1 and peak `peak_to_mean`,
  * floored at zero. Exposed for tests and for the elastic-scaling bench.
  */
 double diurnalMultiplier(TimeUs t, double peak_to_mean, TimeUs period_us);
-
-class Rng;
 
 /**
  * The (function, minute) cells both Azure generators draw, one Poisson

@@ -6,7 +6,7 @@ bool
 FunctionSpec::valid() const
 {
     return id != kInvalidFunction && mem_mb > 0 && warm_us > 0 &&
-        cold_us >= warm_us;
+        cold_us >= warm_us && cold_us <= kMaxArrivalUs;
 }
 
 FunctionSpec

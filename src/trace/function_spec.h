@@ -10,11 +10,25 @@
 #ifndef FAASCACHE_TRACE_FUNCTION_SPEC_H_
 #define FAASCACHE_TRACE_FUNCTION_SPEC_H_
 
+#include <limits>
 #include <string>
 
 #include "util/types.h"
 
 namespace faascache {
+
+/**
+ * Latest arrival time any engine accepts, and the longest execution
+ * span a function may declare. Engines add spans to arrival times in
+ * plain TimeUs arithmetic (cold and warm execution, queue_timeout_us,
+ * tick and keep-alive periods), and the cluster engine reserves the
+ * TimeUs maximum as its "no event" sentinel. Capping arrivals, cold_us
+ * (hence warm_us) and ServerConfig::queue_timeout_us at a quarter of the
+ * range each (about 73,000 years) keeps arrival + cold span + queue
+ * timeout within three quarters of it.
+ */
+inline constexpr TimeUs kMaxArrivalUs =
+    std::numeric_limits<TimeUs>::max() / 4;
 
 /** Immutable per-function characteristics. */
 struct FunctionSpec
@@ -46,7 +60,8 @@ struct FunctionSpec
     /** Initialization overhead: cold_us - warm_us. */
     TimeUs initTime() const { return cold_us - warm_us; }
 
-    /** Whether the spec satisfies all invariants. */
+    /** Whether the spec satisfies all invariants: a real id, positive
+     *  memory, and 0 < warm_us <= cold_us <= kMaxArrivalUs. */
     bool valid() const;
 };
 

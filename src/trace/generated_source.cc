@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "util/rng.h"
 
@@ -421,47 +420,14 @@ std::unique_ptr<InvocationSource> makeAzureSource(
 std::unique_ptr<InvocationSource> makeAzureSource(
     const AzureModelConfig& config, std::function<bool(FunctionId)> keep)
 {
-    // Replicate generateAzureTrace()'s catalog loop draw for draw, then
-    // hand the post-catalog RNG state to the streaming source so the
-    // per-function split() sequence matches the materialized path.
+    // The catalog draw generateAzureTrace() makes; the post-catalog RNG
+    // state goes to the streaming source so the per-function split()
+    // sequence matches the materialized path.
     Rng rng(config.seed);
-    std::vector<FunctionSpec> population;
-    population.reserve(config.num_functions);
-    std::vector<double> rates;
-    rates.reserve(config.num_functions);
-    for (std::size_t i = 0; i < config.num_functions; ++i) {
-        const double iat_sec = rng.lognormal(
-            std::log(config.iat_median_sec), config.iat_sigma);
-        const double rate =
-            std::min(config.max_rate_per_sec, 1.0 / iat_sec);
-
-        double mem = rng.lognormal(std::log(config.mem_median_mb),
-                                   config.mem_sigma);
-        mem = std::clamp(mem, config.mem_min_mb, config.mem_max_mb);
-        mem = std::max(1.0, std::round(mem));
-
-        double warm_ms = rng.lognormal(std::log(config.warm_median_ms),
-                                       config.warm_sigma);
-        warm_ms =
-            std::clamp(warm_ms, config.warm_min_ms, config.warm_max_ms);
-        const double max_warm_ms = config.max_utilization * 1000.0 / rate;
-        warm_ms = std::max(config.warm_min_ms,
-                           std::min(warm_ms, max_warm_ms));
-
-        double ratio = rng.lognormal(std::log(config.init_ratio_median),
-                                     config.init_ratio_sigma);
-        ratio = std::clamp(ratio, config.init_ratio_min,
-                           config.init_ratio_max);
-
-        const auto id = static_cast<FunctionId>(i);
-        population.push_back(makeFunction(
-            id, "fn-" + std::to_string(i), mem, fromMillis(warm_ms),
-            fromMillis(warm_ms * ratio)));
-        rates.push_back(rate);
-    }
-    return std::make_unique<AzureSource>(config, std::move(population),
-                                         std::move(rates), rng,
-                                         std::move(keep));
+    AzureCatalog catalog = drawAzureCatalog(config, rng);
+    return std::make_unique<AzureSource>(
+        config, std::move(catalog.functions),
+        std::move(catalog.rates_per_sec), rng, std::move(keep));
 }
 
 }  // namespace faascache

@@ -38,24 +38,12 @@
 
 #include <cstddef>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "trace/trace.h"
 
 namespace faascache {
-
-/**
- * Latest arrival time any engine accepts. Engines add spans to arrival
- * times in plain TimeUs arithmetic (cold and warm execution,
- * queue_timeout_us, tick and keep-alive periods), and the cluster engine
- * reserves the TimeUs maximum as its "no event" sentinel. Capping
- * arrivals at a quarter of the range (about 73,000 years) leaves three
- * quarters of it as headroom for those sums.
- */
-inline constexpr TimeUs kMaxArrivalUs =
-    std::numeric_limits<TimeUs>::max() / 4;
 
 /** Throws the error checkArrivalTime() reports. */
 [[noreturn]] void throwArrivalPastLimit(const Invocation& inv,

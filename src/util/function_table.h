@@ -5,23 +5,30 @@
  * FunctionId is dense over the whole trace catalog, but an invoker of a
  * function-hash-affine fleet serves only the thin slice of the catalog
  * routed to it (a 256-invoker fleet over 3,000 functions: about a dozen
- * each). A catalog-indexed vector of full rows per table spreads those
- * few live rows over dozens of pages per server; across the fleet the
- * pages outrun the TLB and the caches. A FunctionTable keeps a
- * catalog-sized uint32 slot map (4 bytes per function, 0 = never seen)
- * in front of dense rows stored in first-seen order, so the pages a
- * server touches are its slot map plus the rows it actually uses.
+ * each). A FunctionTable therefore allocates nothing by catalog size:
+ * rows live densely in first-seen order, and a compact open-addressing
+ * index maps each id to its row. The index holds packed {id, row}
+ * entries in a power-of-two array kept at most half full, probed
+ * linearly from a Fibonacci hash of the id, so a table of k functions
+ * costs O(k) memory whatever the catalog, and a lookup is one multiply
+ * plus (usually) one 8-byte load.
+ *
+ * Callers on a hot path may keep a row index (rowOf) instead of the id:
+ * row indices are stable for the table's lifetime, so row(r) skips the
+ * hash entirely.
  *
  * Storage only: lookups by id return the same values a catalog-indexed
  * vector would, and the id-ordered walk visits rows in ascending id
  * order, so results that export or audit per-function state do not
- * depend on first-seen order.
+ * depend on first-seen order or on the hash.
  */
 #ifndef FAASCACHE_UTIL_FUNCTION_TABLE_H_
 #define FAASCACHE_UTIL_FUNCTION_TABLE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/types.h"
@@ -34,41 +41,50 @@ class FunctionTable
 {
   public:
     /**
-     * Size the slot map for ids in [0, functions). Allocation hint
-     * only: larger ids still work (the map grows on access).
+     * The row index of `function`, creating a value-initialized row on
+     * first access. Row indices are dense (0, 1, ... in first-seen
+     * order) and never change.
+     * @pre function != kInvalidFunction (the index's empty marker).
      */
-    void reserve(std::size_t functions)
+    std::uint32_t rowOf(FunctionId function)
     {
-        if (slot_.size() < functions)
-            slot_.resize(functions, 0);
+        if (2 * (rows_.size() + 1) > index_.size())
+            grow();
+        for (std::size_t i = home(function);; i = (i + 1) & mask_) {
+            Entry& e = index_[i];
+            if (e.id == function)
+                return e.row;
+            if (e.id == kInvalidFunction) {
+                e = Entry{function, static_cast<std::uint32_t>(rows_.size())};
+                rows_.emplace_back();
+                return e.row;
+            }
+        }
     }
 
     /**
      * The row of `function`, value-initialized on first access. The
      * reference is invalidated by the next first access of another id.
      */
-    Row& operator[](FunctionId function)
-    {
-        if (function >= slot_.size()) {
-            slot_.resize(std::max<std::size_t>(
-                             static_cast<std::size_t>(function) + 1,
-                             slot_.size() * 2),
-                         0);
-        }
-        std::uint32_t& slot = slot_[function];
-        if (slot == 0) {
-            rows_.emplace_back();
-            slot = static_cast<std::uint32_t>(rows_.size());
-        }
-        return rows_[slot - 1];
-    }
+    Row& operator[](FunctionId function) { return rows_[rowOf(function)]; }
 
-    /** The row of `function`, or null if it was never accessed. */
+    /** The row at index `row` (from rowOf). */
+    Row& row(std::uint32_t row) { return rows_[row]; }
+    const Row& row(std::uint32_t row) const { return rows_[row]; }
+
+    /** The row of `function`, or null if it was never accessed. Never
+     *  creates a row. */
     Row* find(FunctionId function)
     {
-        if (function >= slot_.size() || slot_[function] == 0)
+        if (index_.empty())
             return nullptr;
-        return &rows_[slot_[function] - 1];
+        for (std::size_t i = home(function);; i = (i + 1) & mask_) {
+            const Entry& e = index_[i];
+            if (e.id == function)
+                return &rows_[e.row];
+            if (e.id == kInvalidFunction)
+                return nullptr;
+        }
     }
     const Row* find(FunctionId function) const
     {
@@ -78,22 +94,75 @@ class FunctionTable
     /** Number of rows (distinct functions ever accessed). */
     std::size_t size() const { return rows_.size(); }
 
+    /** Slots of the id index (a power of two, at least 2 × size(), or
+     *  0 before the first row); tests and memory accounting. */
+    std::size_t indexCapacity() const { return index_.size(); }
+
     /**
-     * Visit fn(id, row) for every row in ascending id order. O(slot
-     * map): for audits and end-of-run export, not the hot path.
+     * Visit fn(id, row) for every row in ascending id order. O(k log k)
+     * for k rows, with one temporary of k entries: for audits and
+     * end-of-run export, not the hot path.
      */
     template <typename Fn>
     void forEachById(Fn&& fn) const
     {
-        for (std::size_t id = 0; id < slot_.size(); ++id) {
-            if (slot_[id] != 0)
-                fn(static_cast<FunctionId>(id), rows_[slot_[id] - 1]);
+        std::vector<Entry> live;
+        live.reserve(rows_.size());
+        for (const Entry& e : index_) {
+            if (e.id != kInvalidFunction)
+                live.push_back(e);
         }
+        std::sort(live.begin(), live.end(),
+                  [](const Entry& a, const Entry& b) { return a.id < b.id; });
+        for (const Entry& e : live)
+            fn(e.id, rows_[e.row]);
     }
 
   private:
-    /** Row index + 1 per function id; 0 = no row. */
-    std::vector<std::uint32_t> slot_;
+    /** One index slot; id == kInvalidFunction marks an empty slot. */
+    struct Entry
+    {
+        FunctionId id = kInvalidFunction;
+        std::uint32_t row = 0;
+    };
+
+    /** Smallest index allocated (64 bytes of entries). */
+    static constexpr std::size_t kMinIndex = 8;
+
+    /** Home slot of `function`: Fibonacci hashing keeps dense and
+     *  strided id sets spread over the index. */
+    std::size_t home(FunctionId function) const
+    {
+        return static_cast<std::size_t>(
+            (static_cast<std::uint64_t>(function) * 0x9E3779B97F4A7C15ull) >>
+            shift_);
+    }
+
+    /** Double the index (or allocate the first) and reinsert every
+     *  entry; rows stay where they are. */
+    void grow()
+    {
+        const std::size_t capacity =
+            index_.empty() ? kMinIndex : 2 * index_.size();
+        std::vector<Entry> old = std::exchange(index_, {});
+        index_.assign(capacity, Entry{});
+        mask_ = capacity - 1;
+        shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+        for (const Entry& e : old) {
+            if (e.id == kInvalidFunction)
+                continue;
+            std::size_t i = home(e.id);
+            while (index_[i].id != kInvalidFunction)
+                i = (i + 1) & mask_;
+            index_[i] = e;
+        }
+    }
+
+    /** Open-addressing id → row index; empty until the first row. */
+    std::vector<Entry> index_;
+    std::size_t mask_ = 0;
+    /** 64 − log2(index_.size()). */
+    unsigned shift_ = 64;
     /** Rows in first-seen order. */
     std::vector<Row> rows_;
 };

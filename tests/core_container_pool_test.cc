@@ -318,7 +318,7 @@ TEST_P(ContainerPoolTest, ChurnKeepsAccountingExact)
 TEST_P(ContainerPoolTest, ReserveIsBehaviorNeutral)
 {
     ContainerPool pool = makePool(10'000);
-    pool.reserve(512, 64);
+    pool.reserve(512);
     Container& c = pool.add(fn(0, 100), 0);
     EXPECT_EQ(pool.get(c.id()), &c);
     EXPECT_EQ(pool.size(), 1u);
@@ -328,7 +328,7 @@ TEST_P(ContainerPoolTest, ReserveIsBehaviorNeutral)
 TEST_P(ContainerPoolTest, NeverSeenFunctionsAreEmpty)
 {
     ContainerPool pool = makePool(1000);
-    pool.reserve(16, 8);
+    pool.reserve(16);
     pool.add(fn(3, 100), 0);
     const ContainerPool& view = pool;
     for (FunctionId f : {FunctionId{0}, FunctionId{7}, FunctionId{8},
@@ -345,7 +345,7 @@ TEST_P(ContainerPoolTest, FunctionIdsGrowPastTheReserveHint)
     // Functions first seen out of id order and far beyond the hint keep
     // exact per-function state, and the deep audit stays clean.
     ContainerPool pool = makePool(100'000);
-    pool.reserve(16, 4);
+    pool.reserve(16);
     Auditor audit;
     const FunctionId ids[] = {900, 2, 40'000, 5, 900, 2};
     std::vector<ContainerId> made;

@@ -49,9 +49,8 @@ TEST(FunctionStats, ResetUnknownFunctionIsNoop)
 TEST(FunctionStats, NeverSeenFunctionsReadZeroAndIdsGrowPastTheHint)
 {
     FunctionStatsTable table;
-    table.reserve(4);
     table.recordArrival(2, 10);
-    table.recordArrival(5000, 20);  // far past the reserve hint
+    table.recordArrival(5000, 20);  // far past the ids seen so far
     const FunctionStatsTable& view = table;
     EXPECT_EQ(view.of(5000).frequency, 1);
     EXPECT_EQ(view.of(5000).last_arrival_us, 20);

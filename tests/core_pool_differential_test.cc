@@ -147,7 +147,9 @@ TEST(PoolDifferential, PlatformServerBitIdentical)
         EXPECT_EQ(slab.evictions, reference.evictions);
         EXPECT_EQ(slab.expirations, reference.expirations);
         EXPECT_EQ(slab.prewarms, reference.prewarms);
-        EXPECT_EQ(slab.per_function, reference.per_function);
+        ASSERT_EQ(slab.catalog_size, reference.catalog_size);
+        for (FunctionId f = 0; f < slab.catalog_size; ++f)
+            EXPECT_EQ(slab.outcomeOf(f), reference.outcomeOf(f));
         ASSERT_EQ(slab.latencies_sec.size(),
                   reference.latencies_sec.size());
         for (std::size_t i = 0; i < slab.latencies_sec.size(); ++i)

@@ -90,14 +90,15 @@ expectSamePlatformResult(const PlatformResult& a, const PlatformResult& b)
     EXPECT_EQ(a.robustness.redispatch_cold_starts,
               b.robustness.redispatch_cold_starts);
     EXPECT_EQ(a.robustness.downtime_us, b.robustness.downtime_us);
-    EXPECT_EQ(a.per_function, b.per_function);
+    ASSERT_EQ(a.catalog_size, b.catalog_size);
+    for (FunctionId i = 0; i < a.catalog_size; ++i)
+        EXPECT_EQ(a.outcomeOf(i), b.outcomeOf(i));
     // Bit-exact latency streams, completion order included.
     ASSERT_EQ(a.latencies_sec.size(), b.latencies_sec.size());
     for (std::size_t i = 0; i < a.latencies_sec.size(); ++i)
         EXPECT_EQ(a.latencies_sec[i], b.latencies_sec[i]);
-    ASSERT_EQ(a.latency_sum_sec.size(), b.latency_sum_sec.size());
-    for (std::size_t i = 0; i < a.latency_sum_sec.size(); ++i)
-        EXPECT_EQ(a.latency_sum_sec[i], b.latency_sum_sec[i]);
+    for (FunctionId i = 0; i < a.catalog_size; ++i)
+        EXPECT_EQ(a.latencySumOf(i), b.latencySumOf(i));
 }
 
 TEST(EngineDifferential, SimulatorReplaysBitExact)

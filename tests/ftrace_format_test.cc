@@ -362,6 +362,32 @@ TEST(FtraceValidation, NamedFieldRejections)
         expectRejectedNaming(file.path(), "chunk_capacity");
     }
 
+    // A function whose cold span passes kMaxArrivalUs, with the table
+    // checksum re-patched, is refused by the function table check.
+    {
+        std::string bad = good;
+        std::uint32_t name_bytes = 0;
+        std::uint64_t table_bytes = 0;
+        std::memcpy(&name_bytes, &bad[16], sizeof name_bytes);
+        std::memcpy(&table_bytes, &bad[48], sizeof table_bytes);
+        const std::size_t table = ftrace::kHeaderBytes + name_bytes;
+        std::uint32_t name_len = 0;
+        std::memcpy(&name_len, &bad[table], sizeof name_len);
+        const TimeUs oversized = kMaxArrivalUs + 1;
+        std::memcpy(&bad[table + 4 + name_len + 32], &oversized,
+                    sizeof oversized);
+        const std::uint64_t checksum =
+            fnv1a64(std::string_view(bad.data() + table, table_bytes));
+        std::memcpy(&bad[table + table_bytes], &checksum, sizeof checksum);
+        writeFile(file.path(), bad);
+        expectRejectedNaming(file.path(), "function_table");
+        // So is a writer handed such a function.
+        FunctionSpec spec = trace.functions()[0];
+        spec.cold_us = oversized;
+        EXPECT_THROW(FtraceWriter(file.path(), "w", {spec}, 16),
+                     std::runtime_error);
+    }
+
     // Truncation below the header size names the header.
     writeFile(file.path(), good.substr(0, 32));
     expectRejectedNaming(file.path(), "header");

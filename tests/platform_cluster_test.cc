@@ -43,8 +43,7 @@ TEST(Cluster, FunctionHashPinsFunctions)
     for (FunctionId fn = 0; fn < t.functions().size(); ++fn) {
         int servers_touched = 0;
         for (const auto& s : r.servers) {
-            if (s.per_function[fn].served() + s.per_function[fn].dropped >
-                0) {
+            if (s.outcomeOf(fn).served() + s.outcomeOf(fn).dropped > 0) {
                 ++servers_touched;
             }
         }

@@ -631,9 +631,9 @@ TEST(ServerFaults, OomKillAbortsFattestBusyContainer)
     EXPECT_EQ(r.robustness.crash_aborted, 1);
     // The fat function (id 1) lost its invocation; the small one kept
     // running to completion.
-    EXPECT_EQ(r.per_function[1].dropped, 1);
-    EXPECT_EQ(r.per_function[1].served(), 0);
-    EXPECT_EQ(r.per_function[0].served(), 1);
+    EXPECT_EQ(r.outcomeOf(1).dropped, 1);
+    EXPECT_EQ(r.outcomeOf(1).served(), 0);
+    EXPECT_EQ(r.outcomeOf(0).served(), 1);
     EXPECT_EQ(r.total(),
               static_cast<std::int64_t>(t.invocations().size()));
 }
@@ -666,8 +666,8 @@ TEST(ServerFaults, OomKillFreesCoresForQueuedWork)
     plan.oom_kills.push_back({0, 5 * kSecond});
     const PlatformResult r = runWithPlan(t, cfg, plan);
     EXPECT_EQ(r.robustness.oom_kills, 1);
-    EXPECT_EQ(r.per_function[0].served(), 0);
-    EXPECT_EQ(r.per_function[1].served(), 1);
+    EXPECT_EQ(r.outcomeOf(0).served(), 0);
+    EXPECT_EQ(r.outcomeOf(1).served(), 1);
     EXPECT_EQ(r.total(),
               static_cast<std::int64_t>(t.invocations().size()));
 }

@@ -395,8 +395,8 @@ TEST(ServerOverload, BrownoutServesWarmWhileDenyingCold)
     EXPECT_GE(r.overload.brownout_windows, 1);
     EXPECT_GT(r.overload.brownout_us, 0);
     // fn3 was denied the cold path; fn0 was not.
-    EXPECT_GT(r.per_function[3].dropped, 0);
-    EXPECT_EQ(r.per_function[0].dropped, 0);
+    EXPECT_GT(r.outcomeOf(3).dropped, 0);
+    EXPECT_EQ(r.outcomeOf(0).dropped, 0);
 }
 
 TEST(ServerOverload, DeterministicAcrossRuns)

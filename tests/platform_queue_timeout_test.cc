@@ -68,7 +68,7 @@ TEST(QueueTimeout, WaitOneTickPastTimeoutExpires)
 
     EXPECT_EQ(r.served(), 1);
     EXPECT_EQ(r.dropped_timeout, 1);
-    EXPECT_EQ(r.per_function[1].dropped, 1);
+    EXPECT_EQ(r.outcomeOf(1).dropped, 1);
 }
 
 TEST(QueueTimeout, SameTimestampArrivalsDropInFifoOrder)
@@ -92,10 +92,10 @@ TEST(QueueTimeout, SameTimestampArrivalsDropInFifoOrder)
     const PlatformResult r = run(t, cfg);
 
     EXPECT_EQ(r.dropped_queue_full, 2);
-    EXPECT_EQ(r.per_function[1].dropped, 0);
-    EXPECT_EQ(r.per_function[2].dropped, 0);
-    EXPECT_EQ(r.per_function[3].dropped, 1);
-    EXPECT_EQ(r.per_function[4].dropped, 1);
+    EXPECT_EQ(r.outcomeOf(1).dropped, 0);
+    EXPECT_EQ(r.outcomeOf(2).dropped, 0);
+    EXPECT_EQ(r.outcomeOf(3).dropped, 1);
+    EXPECT_EQ(r.outcomeOf(4).dropped, 1);
 }
 
 TEST(QueueTimeout, SameTimestampExpiriesAllDropAtOneDrain)
@@ -119,8 +119,8 @@ TEST(QueueTimeout, SameTimestampExpiriesAllDropAtOneDrain)
 
     EXPECT_EQ(r.served(), 1);
     EXPECT_EQ(r.dropped_timeout, 2);
-    EXPECT_EQ(r.per_function[1].dropped, 1);
-    EXPECT_EQ(r.per_function[2].dropped, 1);
+    EXPECT_EQ(r.outcomeOf(1).dropped, 1);
+    EXPECT_EQ(r.outcomeOf(2).dropped, 1);
 }
 
 TEST(QueueTimeout, ExpiredHeadDoesNotBlockDispatchableRequest)
@@ -143,7 +143,7 @@ TEST(QueueTimeout, ExpiredHeadDoesNotBlockDispatchableRequest)
     const PlatformResult r = run(t, cfg);
 
     EXPECT_EQ(r.dropped_timeout, 1);
-    EXPECT_EQ(r.per_function[1].dropped, 1);
+    EXPECT_EQ(r.outcomeOf(1).dropped, 1);
     EXPECT_EQ(r.served(), 2);
     EXPECT_EQ(r.warm_starts, 1);
     ASSERT_EQ(r.latencies_sec.size(), 2u);

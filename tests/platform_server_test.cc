@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/policy_factory.h"
 #include "platform/experiment_checkpoint.h"
@@ -180,7 +181,8 @@ TEST(Server, PerFunctionAccountingSumsToTotals)
         t.addInvocation(static_cast<FunctionId>(i % 2), i * kSecond);
     const PlatformResult r = run(t, config(2, 600));
     std::int64_t warm = 0, cold = 0, dropped = 0;
-    for (const auto& f : r.per_function) {
+    for (FunctionId fn = 0; fn < r.catalog_size; ++fn) {
+        const FunctionOutcome f = r.outcomeOf(fn);
         warm += f.warm;
         cold += f.cold;
         dropped += f.dropped;
@@ -253,6 +255,60 @@ TEST(Server, RejectsBadConfig)
     EXPECT_THROW(Server(nullptr, config(2, 1'000)), std::invalid_argument);
     EXPECT_THROW(Server(makePolicy(PolicyKind::Lru), config(0, 1'000)),
                  std::invalid_argument);
+}
+
+TEST(Server, RejectsAQueueTimeoutPastTheArrivalLimit)
+{
+    ServerConfig c = config(2, 1'000);
+    c.queue_timeout_us = kMaxArrivalUs;
+    EXPECT_NO_THROW(Server(makePolicy(PolicyKind::Lru), c));
+    c.queue_timeout_us = kMaxArrivalUs + 1;
+    try {
+        Server server(makePolicy(PolicyKind::Lru), c);
+        ADD_FAILURE() << "queue_timeout_us past kMaxArrivalUs accepted";
+    } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find("queue_timeout_us"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
+TEST(Server, ServesAThinSliceOfAMillionFunctionCatalog)
+{
+    // A fleet server's memory follows the functions it serves: ten
+    // functions out of a million leave ten records and ten-row tables.
+    constexpr std::size_t kCatalog = 1'000'000;
+    std::vector<FunctionSpec> catalog;
+    catalog.reserve(kCatalog);
+    for (std::size_t i = 0; i < kCatalog; ++i) {
+        FunctionSpec spec;
+        spec.id = static_cast<FunctionId>(i);
+        spec.mem_mb = 64;
+        spec.warm_us = 100 * kMillisecond;
+        spec.cold_us = 300 * kMillisecond;
+        catalog.push_back(std::move(spec));
+    }
+    Server server(makePolicy(PolicyKind::GreedyDual), config(4, 4'096));
+    server.begin(catalog, 100);
+    std::vector<FunctionId> served;
+    for (int k = 0; k < 10; ++k)
+        served.push_back(static_cast<FunctionId>(k * 99'991 + 7));
+    std::size_t index = 0;
+    for (int round = 0; round < 5; ++round) {
+        for (FunctionId f : served) {
+            const TimeUs now = static_cast<TimeUs>(index) * kSecond;
+            server.advanceTo(now);
+            server.offer(index++, Invocation{f, now}, now);
+        }
+    }
+    const PlatformResult r = server.finish(60 * kSecond);
+    EXPECT_EQ(r.catalog_size, kCatalog);
+    EXPECT_LE(r.function_records.size(), served.size());
+    EXPECT_EQ(r.served(), 50);
+    for (FunctionId f : served)
+        EXPECT_EQ(r.outcomeOf(f).served(), 5) << f;
+    EXPECT_EQ(r.outcomeOf(0), FunctionOutcome{});
+    EXPECT_EQ(r.outcomeOf(kCatalog - 1), FunctionOutcome{});
 }
 
 TEST(Server, RejectsAnArrivalPastTheLimit)

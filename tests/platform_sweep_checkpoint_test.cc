@@ -135,19 +135,18 @@ expectSamePlatformResult(const PlatformResult& a, const PlatformResult& b)
     EXPECT_EQ(a.robustness.downtime_us, b.robustness.downtime_us);
     EXPECT_EQ(a.overload, b.overload);
     EXPECT_EQ(a.last_congested_us, b.last_congested_us);
-    ASSERT_EQ(a.per_function.size(), b.per_function.size());
-    for (std::size_t i = 0; i < a.per_function.size(); ++i) {
-        EXPECT_EQ(a.per_function[i].warm, b.per_function[i].warm);
-        EXPECT_EQ(a.per_function[i].cold, b.per_function[i].cold);
-        EXPECT_EQ(a.per_function[i].dropped, b.per_function[i].dropped);
+    ASSERT_EQ(a.catalog_size, b.catalog_size);
+    for (FunctionId i = 0; i < a.catalog_size; ++i) {
+        EXPECT_EQ(a.outcomeOf(i).warm, b.outcomeOf(i).warm);
+        EXPECT_EQ(a.outcomeOf(i).cold, b.outcomeOf(i).cold);
+        EXPECT_EQ(a.outcomeOf(i).dropped, b.outcomeOf(i).dropped);
     }
     // Bit-exact doubles: the hexfloat codec must round-trip perfectly.
     ASSERT_EQ(a.latencies_sec.size(), b.latencies_sec.size());
     for (std::size_t i = 0; i < a.latencies_sec.size(); ++i)
         EXPECT_EQ(a.latencies_sec[i], b.latencies_sec[i]);
-    ASSERT_EQ(a.latency_sum_sec.size(), b.latency_sum_sec.size());
-    for (std::size_t i = 0; i < a.latency_sum_sec.size(); ++i)
-        EXPECT_EQ(a.latency_sum_sec[i], b.latency_sum_sec[i]);
+    for (FunctionId i = 0; i < a.catalog_size; ++i)
+        EXPECT_EQ(a.latencySumOf(i), b.latencySumOf(i));
 }
 
 void
@@ -242,6 +241,108 @@ TEST(PlatformCheckpointCodec, RejectsTruncationAndTrailingGarbage)
     EXPECT_FALSE(decodePlatformCheckpointPayload(payload + " 7", &key,
                                                  &decoded));
     EXPECT_FALSE(decodePlatformCheckpointPayload("", &key, &decoded));
+}
+
+/** A result over a 6-function catalog with records for 1 and 4. */
+PlatformResult
+sparseResult()
+{
+    PlatformResult r;
+    r.policy_name = "GD";
+    r.warm_starts = 3;
+    r.cold_starts = 2;
+    r.dropped_timeout = 1;
+    r.catalog_size = 6;
+    r.function_records = {
+        {1, FunctionOutcome{2, 1, 0}, 0.75},
+        {4, FunctionOutcome{1, 1, 1}, 1.5},
+    };
+    r.latencies_sec = {0.25, 0.25, 0.25, 0.5, 1.0};
+    return r;
+}
+
+TEST(PlatformCheckpointCodec, SparseRecordsEncodeAsCatalogWideRows)
+{
+    const PlatformResult r = sparseResult();
+    const std::string payload = encodePlatformCheckpointPayload("k", r);
+    // The tail is the dense encoding: six outcome rows, the latency
+    // stream, then six latency sums, with zero rows for 0, 2, 3 and 5.
+    const std::string z = hexDoubleToken(0.0);
+    std::string tail = " 6 0 0 0 2 1 0 0 0 0 0 0 0 1 1 1 0 0 0 5";
+    for (double latency : r.latencies_sec)
+        tail += " " + hexDoubleToken(latency);
+    tail += " 6 " + z + " " + hexDoubleToken(0.75) + " " + z + " " + z +
+        " " + hexDoubleToken(1.5) + " " + z;
+    ASSERT_GE(payload.size(), tail.size());
+    EXPECT_EQ(payload.substr(payload.size() - tail.size()), tail);
+
+    std::string key;
+    PlatformResult decoded;
+    ASSERT_TRUE(decodePlatformCheckpointPayload(payload, &key, &decoded));
+    EXPECT_EQ(decoded.catalog_size, 6u);
+    EXPECT_EQ(decoded.function_records, r.function_records);
+    EXPECT_EQ(decoded.outcomeOf(4), (FunctionOutcome{1, 1, 1}));
+    EXPECT_EQ(decoded.outcomeOf(5), FunctionOutcome{});
+    EXPECT_EQ(decoded.latencySumOf(1), 0.75);
+    EXPECT_EQ(decoded.latencySumOf(2), 0.0);
+    EXPECT_THROW(decoded.outcomeOf(6), std::out_of_range);
+    EXPECT_EQ(encodePlatformCheckpointPayload(key, decoded), payload);
+}
+
+TEST(PlatformCheckpointCodec, RejectsRowsNoRecordCanHold)
+{
+    const std::string payload =
+        encodePlatformCheckpointPayload("k", sparseResult());
+    const std::string z = hexDoubleToken(0.0);
+    const std::string sums = " 6 " + z + " " + hexDoubleToken(0.75);
+    const std::size_t at = payload.rfind(sums);
+    ASSERT_NE(at, std::string::npos);
+    std::string key;
+    PlatformResult decoded;
+    const auto withSums = [&](const std::string& replacement) {
+        std::string bad = payload;
+        bad.replace(at, sums.size(), replacement);
+        return decodePlatformCheckpointPayload(bad, &key, &decoded);
+    };
+    ASSERT_TRUE(withSums(sums));
+    // Function 0 has a zero outcome, so its sum must be +0.0.
+    EXPECT_FALSE(withSums(" 6 " + hexDoubleToken(0.5) + " " +
+                          hexDoubleToken(0.75)));
+    EXPECT_FALSE(withSums(" 6 " + hexDoubleToken(-0.0) + " " +
+                          hexDoubleToken(0.75)));
+    // The sums must cover the outcome rows' catalog.
+    EXPECT_FALSE(withSums(" 7 " + z + " " + hexDoubleToken(0.75)));
+}
+
+TEST(PlatformCheckpointCodec, GoldenJournalsDecodeAndReencodeIdentically)
+{
+    const auto records = [](const char* name) {
+        const CheckpointJournalLoad load = loadCheckpointJournal(
+            std::string(FAASCACHE_GOLDEN_DIR) + "/" + name);
+        EXPECT_FALSE(load.records.empty()) << name;
+        EXPECT_FALSE(load.torn_tail) << name;
+        return load.records;
+    };
+    for (const CheckpointJournalRecord& record :
+         records("journal_platform.ckpt")) {
+        std::string key;
+        PlatformResult decoded;
+        ASSERT_TRUE(
+            decodePlatformCheckpointPayload(record.payload, &key, &decoded));
+        EXPECT_EQ(encodePlatformCheckpointPayload(key, decoded),
+                  record.payload)
+            << key;
+    }
+    for (const CheckpointJournalRecord& record :
+         records("journal_cluster.ckpt")) {
+        std::string key;
+        ClusterResult decoded;
+        ASSERT_TRUE(
+            decodeClusterCheckpointPayload(record.payload, &key, &decoded));
+        EXPECT_EQ(encodeClusterCheckpointPayload(key, decoded),
+                  record.payload)
+            << key;
+    }
 }
 
 TEST(ClusterCheckpointCodec, RoundTripsARealRun)

@@ -560,6 +560,38 @@ TEST(Simulator, ResourceConservingPolicySkipsHousekeepingExactly)
     }
 }
 
+TEST(Simulator, RejectsASpanPastTheArrivalLimit)
+{
+    // Two arrivals of a function whose warm and init times are each
+    // about INT64_MAX / 2: its cold_us is near the TimeUs maximum, and
+    // the first cold start's finish time (arrival + cold_us) would
+    // overflow. The spec is invalid, so the trace is refused up front.
+    const TimeUs half = std::numeric_limits<TimeUs>::max() / 2;
+    Trace t("huge-span");
+    t.addFunction(makeFunction(0, "huge", 100, half, half - 10));
+    t.addInvocation(0, kSecond);
+    t.addInvocation(0, 2 * kSecond);
+    try {
+        simulateTrace(t, makePolicy(PolicyKind::GreedyDual), config(1'000));
+        ADD_FAILURE() << "a span past kMaxArrivalUs was accepted";
+    } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find("invalid trace"),
+                  std::string::npos)
+            << error.what();
+    }
+
+    // The longest span accepted runs, its finish time inside TimeUs.
+    Trace edge("edge-span");
+    edge.addFunction(makeFunction(0, "edge", 100, 1, kMaxArrivalUs - 1));
+    edge.addInvocation(0, kSecond);
+    edge.addInvocation(0, 2 * kSecond);
+    const SimResult r =
+        simulateTrace(edge, makePolicy(PolicyKind::GreedyDual), config(1'000));
+    // The first container is still busy at 2 s: two cold starts.
+    EXPECT_EQ(r.cold_starts, 2);
+    EXPECT_EQ(r.dropped, 0);
+}
+
 TEST(Simulator, RejectsBadConfig)
 {
     Trace t("t");

@@ -37,6 +37,20 @@ TEST(FunctionSpec, Validity)
     EXPECT_FALSE(bad.valid());
 }
 
+TEST(FunctionSpec, SpansAreBoundedByTheArrivalLimit)
+{
+    // cold_us (hence warm_us) may reach kMaxArrivalUs, not pass it, so
+    // arrival + cold span + queue timeout stays inside TimeUs.
+    FunctionSpec edge = makeFunction(0, "edge", 64, 1, kMaxArrivalUs - 1);
+    EXPECT_EQ(edge.cold_us, kMaxArrivalUs);
+    EXPECT_TRUE(edge.valid());
+    FunctionSpec over = edge;
+    over.cold_us = kMaxArrivalUs + 1;
+    EXPECT_FALSE(over.valid());
+    over.warm_us = kMaxArrivalUs + 1;
+    EXPECT_FALSE(over.valid());
+}
+
 TEST(Trace, ValidateAcceptsGoodTrace)
 {
     EXPECT_TRUE(makeSmallTrace().validate());
