@@ -41,12 +41,6 @@ std::vector<double> computeReuseDistances(const Trace& trace);
 std::vector<double> computeReuseDistances(InvocationSource& source);
 
 /**
- * Reference implementation scanning all intermediate invocations per
- * access, O(N^2); used to verify the fast version in tests.
- */
-std::vector<double> computeReuseDistancesNaive(const Trace& trace);
-
-/**
  * Reuse distances of a specific invocation subsequence given by
  * (function, order) pairs; sizes are looked up in `sizes` indexed by
  * function id. Building block for SHARDS sampling.

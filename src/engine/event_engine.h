@@ -42,12 +42,6 @@
  * the loop). A run that is never cancelled is byte-identical with or
  * without a token bound.
  *
- * Cancellation handles. schedule() returns an EventHandle; cancel()
- * marks the event dead without disturbing the heap (lazy deletion: dead
- * events are discarded before they can surface), so the head of the
- * queue is never a cancelled event and empty()/size()/nextTime() stay
- * exact.
- *
  * Heap layout (DESIGN.md §4d). The queue is a flat 4-ary heap: children
  * of node i sit at 4i+1..4i+4, so the tree is half as deep as a binary
  * heap and a sift touches one cache line of children per level. Because
@@ -65,7 +59,6 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "util/audit.h"
@@ -89,16 +82,6 @@ enum class EventLane : std::uint8_t
 
 /** Lower-case display name of a lane ("normal", "failure"). */
 const char* eventLaneName(EventLane lane);
-
-/** Ticket for cancelling a scheduled event. */
-struct EventHandle
-{
-    static constexpr std::uint64_t kInvalid = ~0ULL;
-
-    std::uint64_t seq = kInvalid;
-
-    bool valid() const { return seq != kInvalid; }
-};
 
 /** One scheduled event; `Kind` is the layer's own event vocabulary. */
 template <typename Kind>
@@ -147,10 +130,9 @@ class EventCore
     EventCore& operator=(const EventCore&) = delete;
 
     /** Schedule an event; its sequence number is assigned here. */
-    EventHandle schedule(TimeUs time_us, Kind kind,
-                         std::uint64_t payload = 0,
-                         std::uint64_t payload2 = 0,
-                         EventLane lane = EventLane::Normal)
+    void schedule(TimeUs time_us, Kind kind, std::uint64_t payload = 0,
+                  std::uint64_t payload2 = 0,
+                  EventLane lane = EventLane::Normal)
     {
         EngineEvent<Kind> event;
         event.time_us = time_us;
@@ -161,7 +143,6 @@ class EventCore
         event.payload2 = payload2;
         heap_.push_back(event);
         siftUp(heap_.size() - 1);
-        return EventHandle{event.seq};
     }
 
     /**
@@ -201,35 +182,11 @@ class EventCore
     }
 
     /** Shorthand for scheduling into the Failure lane (fault hook). */
-    EventHandle scheduleFailure(TimeUs time_us, Kind kind,
-                                std::uint64_t payload = 0,
-                                std::uint64_t payload2 = 0)
+    void scheduleFailure(TimeUs time_us, Kind kind,
+                         std::uint64_t payload = 0,
+                         std::uint64_t payload2 = 0)
     {
-        return schedule(time_us, kind, payload, payload2,
-                        EventLane::Failure);
-    }
-
-    /**
-     * Cancel a scheduled event. O(pending) — cancellation is expected
-     * to be rare; delivery stays O(log n).
-     * @return True when the event was pending and is now dead; false
-     *         when the handle is invalid, already delivered, or already
-     *         cancelled.
-     */
-    bool cancel(EventHandle handle)
-    {
-        if (!handle.valid() || handle.seq >= next_seq_)
-            return false;
-        if (cancelled_.count(handle.seq) != 0)
-            return false;
-        const bool pending = std::any_of(
-            heap_.begin(), heap_.end(),
-            [&](const EngineEvent<Kind>& e) { return e.seq == handle.seq; });
-        if (!pending)
-            return false;
-        cancelled_.insert(handle.seq);
-        pruneCancelled();
-        return true;
+        schedule(time_us, kind, payload, payload2, EventLane::Failure);
     }
 
     /**
@@ -263,15 +220,14 @@ class EventCore
     void clear()
     {
         heap_.clear();
-        cancelled_.clear();
         next_seq_ = 0;
         delivered_any_ = false;
     }
 
     bool empty() const { return heap_.empty(); }
 
-    /** Pending (non-cancelled) events. */
-    std::size_t size() const { return heap_.size() - cancelled_.size(); }
+    /** Pending events. */
+    std::size_t size() const { return heap_.size(); }
 
     /** Heap slots currently allocated. */
     std::size_t capacity() const { return heap_.capacity(); }
@@ -286,8 +242,7 @@ class EventCore
     /**
      * Any pending event strictly before `horizon_us`? The sharded
      * cluster's windowed loop asks this at every barrier to decide
-     * whether the next window can be skipped ahead. Counts a
-     * cancelled-but-unpruned root the same way nextTime() would.
+     * whether the next window can be skipped ahead.
      */
     bool hasEventBefore(TimeUs horizon_us) const
     {
@@ -304,7 +259,6 @@ class EventCore
         if (cancel_token_ != nullptr)
             cancel_token_->throwIfCancelled();
         const EngineEvent<Kind> event = popRoot();
-        pruneCancelled();
         if (audit_ != nullptr)
             auditDelivery(event);
         return event;
@@ -382,17 +336,6 @@ class EventCore
         return event;
     }
 
-    /** Discard cancelled events from the head, restoring the invariant
-     *  that the head of the queue is live (or the queue is empty). */
-    void pruneCancelled()
-    {
-        while (!heap_.empty() && !cancelled_.empty() &&
-               cancelled_.count(heap_.front().seq) != 0) {
-            cancelled_.erase(heap_.front().seq);
-            (void)popRoot();
-        }
-    }
-
     /**
      * Per-thread buffer stash. One retired heap buffer is kept per
      * thread (per Kind instantiation) and handed to the next EventCore
@@ -452,9 +395,6 @@ class EventCore
     }
 
     std::vector<EngineEvent<Kind>> heap_;
-
-    /** Seqs cancelled but still buried in the heap (lazy deletion). */
-    std::unordered_set<std::uint64_t> cancelled_;
 
     std::uint64_t next_seq_ = 0;
     const CancellationToken* cancel_token_ = nullptr;

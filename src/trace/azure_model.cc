@@ -108,8 +108,8 @@ generateAzureTrace(const AzureModelConfig& config)
     for (FunctionSpec& spec : catalog.functions)
         population.addFunction(std::move(spec));
 
-    // Emit invocations minute bucket by minute bucket, per function, using
-    // the paper's replay rule.
+    // Emit each function's arrivals in turn; sorting by arrival time
+    // alone then leaves equal timestamps in function-id order.
     const AzureMinuteGrid grid(config);
     const std::int64_t num_minutes = grid.minutes();
     // Reserve the invocation stream at its expected size (sum of the
@@ -122,24 +122,9 @@ generateAzureTrace(const AzureModelConfig& config)
     population.reserveInvocations(
         static_cast<std::size_t>(expected_invocations * 1.02) + 64);
     for (std::size_t i = 0; i < config.num_functions; ++i) {
-        Rng fn_rng = rng.split();
-        std::int64_t count = 0;
-        for (std::int64_t minute =
-                 grid.nextBusyMinute(fn_rng, rates[i], -1, count);
-             minute < num_minutes;
-             minute = grid.nextBusyMinute(fn_rng, rates[i], minute, count)) {
-            const TimeUs bucket_start = minute * kMinute;
-            if (count == 1) {
-                population.addInvocation(static_cast<FunctionId>(i),
-                                         bucket_start);
-                continue;
-            }
-            const TimeUs spacing = kMinute / count;
-            for (std::int64_t k = 0; k < count; ++k) {
-                population.addInvocation(static_cast<FunctionId>(i),
-                                         bucket_start + k * spacing);
-            }
-        }
+        const auto id = static_cast<FunctionId>(i);
+        AzureArrivalWalk(rng.split(), rates[i])
+            .drain(grid, [&](TimeUs t) { population.addInvocation(id, t); });
     }
     population.sortInvocations();
 

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "trace/trace.h"
+#include "util/rng.h"
 
 namespace faascache {
 
@@ -111,8 +112,6 @@ struct AzureModelConfig
 /** Generate a workload trace from the model. Deterministic in the config. */
 Trace generateAzureTrace(const AzureModelConfig& config);
 
-class Rng;
-
 /** The model's function population before any arrival is drawn. */
 struct AzureCatalog
 {
@@ -138,12 +137,9 @@ AzureCatalog drawAzureCatalog(const AzureModelConfig& config, Rng& rng);
 double diurnalMultiplier(TimeUs t, double peak_to_mean, TimeUs period_us);
 
 /**
- * The (function, minute) cells both Azure generators draw, one Poisson
- * count per cell in minute order: generateAzureTrace() and
- * makeAzureSource() walk every function's cells through
- * nextBusyMinute(), which keeps them equal draw for draw. The diurnal
- * multiplier is evaluated once per minute of the duration, not per
- * cell.
+ * The (function, minute) cells of the model, one Poisson count per cell
+ * in minute order. The diurnal multiplier is evaluated once per minute
+ * of the duration, not per cell.
  */
 class AzureMinuteGrid
 {
@@ -169,6 +165,74 @@ class AzureMinuteGrid
     std::int64_t num_minutes_;
     /** diurnalMultiplier() at each minute's start; empty when flat. */
     std::vector<double> multipliers_;
+};
+
+/**
+ * One function's arrivals, in time order: its cells drawn through
+ * AzureMinuteGrid::nextBusyMinute() from the function's own generator,
+ * each busy minute replayed with the paper's rule (§7).
+ * generateAzureTrace() and makeAzureSource() both walk every function
+ * through it, which keeps them equal draw for draw. Every call on a
+ * walk takes the same grid; the walk does not hold it, so the streamed
+ * source's one walk per function stays at the generator plus five
+ * words.
+ */
+class AzureArrivalWalk
+{
+  public:
+    AzureArrivalWalk(Rng rng, double rate_per_sec)
+        : rng_(rng), rate_per_sec_(rate_per_sec)
+    {
+    }
+
+    /** The next arrival in `t`; false once the walk is drained. */
+    bool next(const AzureMinuteGrid& grid, TimeUs& t)
+    {
+        if (k_ == count_ && !nextMinute(grid))
+            return false;
+        t = minute_ * kMinute + k_ * spacing_;
+        ++k_;
+        return true;
+    }
+
+    /** Hand every arrival next() has yet to produce to `emit(t)`, in
+     *  time order, leaving the walk drained. */
+    template <typename Emit>
+    void drain(const AzureMinuteGrid& grid, Emit&& emit)
+    {
+        do {
+            // Locals, so a minute's loop keeps them in registers
+            // across `emit`.
+            const TimeUs start = minute_ * kMinute;
+            const TimeUs spacing = spacing_;
+            const std::int64_t count = count_;
+            for (std::int64_t k = k_; k < count; ++k)
+                emit(start + k * spacing);
+            k_ = count;
+        } while (nextMinute(grid));
+    }
+
+  private:
+    /** Step to the next busy minute and lay out its arrivals; false
+     *  when none is left. */
+    bool nextMinute(const AzureMinuteGrid& grid)
+    {
+        minute_ = grid.nextBusyMinute(rng_, rate_per_sec_, minute_, count_);
+        if (minute_ >= grid.minutes())
+            return false;
+        // The replay rule: one invocation at the start of the minute,
+        // else `count` of them spaced evenly through it.
+        spacing_ = count_ == 1 ? 0 : kMinute / count_;
+        k_ = 0;
+        return true;
+    }
+
+    Rng rng_;
+    double rate_per_sec_;
+    std::int64_t minute_ = -1;
+    std::int64_t count_ = 0;
+    std::int64_t k_ = 0;
+    TimeUs spacing_ = 0;
 };
 
 }  // namespace faascache

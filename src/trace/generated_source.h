@@ -1,153 +1,37 @@
 /**
  * @file
- * On-the-fly streaming generation of the synthetic workloads
- * (DESIGN.md §4h).
+ * The Azure model generated on the fly (DESIGN.md §4h).
  *
- * The materialized generators (patterns.h, azure_model.h) append each
- * function's chronological arrival stream in function-id order and
- * then stable_sort by arrival time alone, so the final order at equal
- * timestamps is exactly (arrival_us, function_id, within-function
- * order). A k-way min-heap merge over per-function streams keyed on
- * (arrival_us, stream_index) — holding at most one pending entry per
- * stream — reproduces that order without ever materializing the
- * invocation vector, and each stream replays the materialized path's
- * per-function RNG (`rng.split()` consumed in function-id order), so
- * the produced invocation sequence is byte-identical to the Trace the
- * eager generator builds. Peak memory is O(functions), not
- * O(invocations).
+ * generateAzureTrace() (azure_model.h) appends each function's
+ * chronological arrivals in function-id order and then stable_sorts by
+ * arrival time alone, so the final order at equal timestamps is exactly
+ * (arrival_us, function_id, within-function order). makeAzureSource()
+ * reproduces that order without materializing the invocation vector:
+ * it walks every function with the same AzureArrivalWalk, seeded by the
+ * same per-function `rng.split()` in function-id order, and merges the
+ * walks through a min-heap keyed on (arrival_us, function) that holds
+ * at most one pending entry per function. The produced invocation
+ * sequence is byte-identical to the Trace the eager generator builds,
+ * and peak memory is O(functions), not O(invocations).
  *
- * Stochastic generators run a counting pre-pass at construction (same
- * replay, counts only), so every source here reports an exact
- * countHint() and the Azure model's drop-single-invocation-functions
- * filter knows its dense remap up front.
+ * A counting pre-pass at construction (the same walks, counts only)
+ * gives an exact countHint() and applies the model's
+ * drop-single-invocation-functions filter up front, numbering the kept
+ * functions densely as Trace::subset() does.
  */
 #ifndef FAASCACHE_TRACE_GENERATED_SOURCE_H_
 #define FAASCACHE_TRACE_GENERATED_SOURCE_H_
 
-#include <cstdint>
-#include <functional>
 #include <memory>
-#include <queue>
-#include <string>
-#include <vector>
 
 #include "trace/azure_model.h"
 #include "trace/invocation_source.h"
 
 namespace faascache {
 
-/**
- * Base of the merged per-function-stream sources: owns the catalog,
- * the (arrival, stream) min-heap, and the cursor plumbing. Subclasses
- * provide the per-stream arrival generators.
- */
-class GeneratedSource : public InvocationSource
-{
-  public:
-    const std::string& name() const override { return name_; }
-    const std::vector<FunctionSpec>& functions() const override
-    {
-        return functions_;
-    }
-    bool peek(Invocation& out) override;
-    bool next(Invocation& out) override;
-    void reset() override;
-    SourceCountHint countHint() const override
-    {
-        return SourceCountHint{total_count_, true};
-    }
-
-  protected:
-    GeneratedSource(std::string name, std::vector<FunctionSpec> functions)
-        : name_(std::move(name)), functions_(std::move(functions))
-    {
-    }
-
-    /** Number of generator streams (pre-filter function count). */
-    virtual std::size_t streamCount() const = 0;
-
-    /** Recreate all per-stream states from the seed. */
-    virtual void rewindStreams() = 0;
-
-    /** Next chronological arrival of stream `i`; false when drained. */
-    virtual bool streamNext(std::size_t i, TimeUs& out) = 0;
-
-    /** False for streams filtered out (e.g. dropped single-invocation
-     *  functions); their RNG state is still created in order. */
-    virtual bool streamEmits(std::size_t) const { return true; }
-
-    /** Output function id of stream `i` (dense remap post-filter). */
-    virtual FunctionId streamFunction(std::size_t i) const
-    {
-        return static_cast<FunctionId>(i);
-    }
-
-    /** Exact total invocation count (set once by the subclass ctor). */
-    void setTotalCount(std::size_t n) { total_count_ = n; }
-
-    /** Replace the catalog (for subclasses whose filtered catalog is
-     *  only known after their counting pre-pass). */
-    void setFunctions(std::vector<FunctionSpec> functions)
-    {
-        functions_ = std::move(functions);
-    }
-
-  private:
-    void primeIfNeeded();
-
-    using HeapEntry = std::pair<TimeUs, std::uint32_t>;
-
-    std::string name_;
-    std::vector<FunctionSpec> functions_;
-    std::size_t total_count_ = 0;
-    bool primed_ = false;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<HeapEntry>>
-        heap_;
-};
-
-/** Streaming equivalent of makePeriodicTrace(). */
-std::unique_ptr<InvocationSource> makePeriodicSource(
-    std::vector<FunctionSpec> specs, std::vector<TimeUs> iats_us,
-    TimeUs duration_us, std::string name);
-
-/** Streaming equivalent of makePoissonTrace(). */
-std::unique_ptr<InvocationSource> makePoissonSource(
-    std::vector<FunctionSpec> specs, std::vector<TimeUs> iats_us,
-    TimeUs duration_us, std::uint64_t seed, std::string name);
-
-/** Streaming equivalent of makeCyclicTrace(). */
-std::unique_ptr<InvocationSource> makeCyclicSource(
-    std::vector<FunctionSpec> specs, TimeUs gap_us, TimeUs duration_us,
-    std::string name);
-
-/** Streaming equivalent of makeSkewedSizeTrace(). */
-std::unique_ptr<InvocationSource> makeSkewedSizeSource(
-    std::vector<FunctionSpec> specs, TimeUs small_iat_us,
-    TimeUs large_iat_us, TimeUs duration_us, std::string name);
-
 /** Streaming equivalent of generateAzureTrace(). */
 std::unique_ptr<InvocationSource> makeAzureSource(
     const AzureModelConfig& config);
-
-/**
- * Partitioned streaming Azure workload. Identical catalog, RNG replay,
- * and per-function arrival streams as makeAzureSource(config), but the
- * merge only emits invocations whose output function id — the dense
- * post-filter id every consumer sees — satisfies `keep`. The full
- * catalog is retained so ids stay catalog-global, every per-function
- * RNG is still consumed in id order (so arrivals are byte-identical to
- * the unpartitioned stream), and countHint() is the exact count of the
- * partition. Disjoint keep predicates covering the id space therefore
- * partition the full stream: merging the partitions by (arrival_us,
- * function order) reproduces makeAzureSource(config) exactly. This is
- * the per-shard generation hook for the sharded cluster: with the
- * FunctionHash balancer each shard generates only its own servers'
- * functions instead of filtering the full interleave.
- */
-std::unique_ptr<InvocationSource> makeAzureSource(
-    const AzureModelConfig& config,
-    std::function<bool(FunctionId)> keep);
 
 }  // namespace faascache
 

@@ -15,9 +15,8 @@
  *    oracle the differential battery compares the others against;
  *  - FtraceSource (ftrace_format.h) — memory-mapped columnar `.ftrace`
  *    file, O(chunk) resident regardless of trace length;
- *  - GeneratedSource (generated_source.h) — chunkless on-the-fly
- *    generation from azure_model/patterns via a k-way merge of
- *    per-function arrival streams.
+ *  - makeAzureSource (generated_source.h) — the Azure model generated
+ *    on the fly by a k-way merge of per-function arrival walks.
  *
  * Cursor contract:
  *  - reset() rewinds to the first invocation; a source is constructed

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "support/reuse_distance_naive.h"
 #include "trace/azure_model.h"
 #include "util/rng.h"
 

@@ -3,7 +3,7 @@
  * Crash-consistency fuzzing of the checkpoint/resume path (ISSUE 8).
  *
  * A seeded battery of >= 1000 deterministic journal corruptions
- * (util/journal_mutator.h) drives runPlatformSweepReport() resume and
+ * (support/journal_mutator.h) drives runPlatformSweepReport() resume and
  * asserts the crash-safety contract end to end: every resume either
  * reproduces the uninterrupted sweep byte-identically (corrupted
  * records are detected and their cells re-run) or refuses with a named
@@ -13,7 +13,7 @@
  * ids restore last-write-wins, and a record whose bytes end exactly at
  * the torn-tail boundary parses iff its newline survived.
  */
-#include "util/journal_mutator.h"
+#include "support/journal_mutator.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>

@@ -3,8 +3,8 @@
  * Unit and property tests of the shared discrete-event engine core
  * (engine/event_engine.h): (time, lane, seq) ordering, the
  * lane-then-FIFO same-timestamp property under randomized event mixes,
- * cancellation handles, heap reserve()/clear(), the cooperative
- * cancellation hook, SimClock, and PeriodicSchedule.
+ * heap reserve()/clear(), the cooperative cancellation hook, SimClock,
+ * and PeriodicSchedule.
  */
 #include "engine/event_engine.h"
 
@@ -159,57 +159,6 @@ TEST(EventCore, PropertyRandomSameTimestampMixesDequeueLaneThenFifo)
     }
 }
 
-TEST(EventCore, CancelRemovesPendingEvent)
-{
-    Core q;
-    q.schedule(10, TestKind::A, 1);
-    const EventHandle h = q.schedule(20, TestKind::A, 2);
-    q.schedule(30, TestKind::A, 3);
-    EXPECT_TRUE(q.cancel(h));
-    EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.pop().payload, 1u);
-    EXPECT_EQ(q.pop().payload, 3u);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventCore, CancelHeadKeepsQueueStateExact)
-{
-    Core q;
-    const EventHandle h = q.schedule(10, TestKind::A, 1);
-    q.schedule(20, TestKind::A, 2);
-    EXPECT_TRUE(q.cancel(h));
-    // The cancelled head is discarded eagerly: the next event is live.
-    EXPECT_EQ(q.size(), 1u);
-    EXPECT_EQ(q.nextTime(), 20);
-    EXPECT_EQ(q.pop().payload, 2u);
-}
-
-TEST(EventCore, CancelIsSingleShotAndRejectsDeliveredOrBogusHandles)
-{
-    Core q;
-    const EventHandle h1 = q.schedule(10, TestKind::A, 1);
-    const EventHandle h2 = q.schedule(20, TestKind::A, 2);
-    EXPECT_FALSE(q.cancel(EventHandle{}));       // never scheduled
-    EXPECT_FALSE(q.cancel(EventHandle{999}));    // unknown seq
-    EXPECT_EQ(q.pop().payload, 1u);
-    EXPECT_FALSE(q.cancel(h1));                  // already delivered
-    EXPECT_TRUE(q.cancel(h2));
-    EXPECT_FALSE(q.cancel(h2));                  // already cancelled
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventCore, CancelAllPendingEmptiesQueue)
-{
-    Core q;
-    std::vector<EventHandle> handles;
-    for (std::uint64_t i = 0; i < 8; ++i)
-        handles.push_back(q.schedule(100 + i, TestKind::A, i));
-    for (const EventHandle& h : handles)
-        EXPECT_TRUE(q.cancel(h));
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.size(), 0u);
-}
-
 TEST(EventCore, ReserveAvoidsMidRunReallocation)
 {
     Core q;
@@ -225,8 +174,7 @@ TEST(EventCore, ClearDropsStaleEventsAndResetsSequencing)
 {
     Core q;
     q.schedule(10, TestKind::A, 1);
-    const EventHandle h = q.schedule(20, TestKind::A, 2);
-    q.cancel(h);
+    q.schedule(20, TestKind::A, 2);
     q.clear();
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.size(), 0u);

@@ -4,13 +4,12 @@
 // Because the ordering key is a *total* order — seq is unique — the
 // sorted pop sequence is the only legal one regardless of heap arity,
 // so any disagreement here means a broken sift primitive, not a benign
-// layout difference. Interleaved schedule/pop and lazy cancellation are
-// exercised too, since those are the operations the sweep runs hammer.
+// layout difference. Interleaved schedule/pop is exercised too, since
+// that is the operation the sweep runs hammer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "engine/event_engine.h"
@@ -44,8 +43,7 @@ struct PopsLater
 class BinaryHeapReference
 {
   public:
-    std::uint64_t schedule(TimeUs time_us, EventLane lane,
-                           std::uint64_t payload)
+    void schedule(TimeUs time_us, EventLane lane, std::uint64_t payload)
     {
         Event event;
         event.time_us = time_us;
@@ -54,46 +52,19 @@ class BinaryHeapReference
         event.kind = TestKind::Tick;
         event.payload = payload;
         heap_.push(event);
-        pending_.insert(event.seq);
-        return event.seq;
     }
 
-    bool cancel(std::uint64_t seq)
-    {
-        if (pending_.count(seq) == 0)
-            return false;
-        pending_.erase(seq);
-        cancelled_.insert(seq);
-        return true;
-    }
-
-    bool empty()
-    {
-        skipCancelled();
-        return heap_.empty();
-    }
+    bool empty() const { return heap_.empty(); }
 
     Event pop()
     {
-        skipCancelled();
         Event event = heap_.top();
         heap_.pop();
-        pending_.erase(event.seq);
         return event;
     }
 
   private:
-    void skipCancelled()
-    {
-        while (!heap_.empty() && cancelled_.count(heap_.top().seq) != 0) {
-            cancelled_.erase(heap_.top().seq);
-            heap_.pop();
-        }
-    }
-
     std::priority_queue<Event, std::vector<Event>, PopsLater> heap_;
-    std::unordered_set<std::uint64_t> pending_;
-    std::unordered_set<std::uint64_t> cancelled_;
     std::uint64_t next_seq_ = 0;
 };
 
@@ -165,45 +136,6 @@ TEST(HeapProperty, InterleavedScheduleAndPopMatchesBinaryHeap)
                 expectSameEvent(core.pop(), reference.pop(), step++, seed);
             }
         }
-        while (!core.empty()) {
-            ASSERT_FALSE(reference.empty());
-            expectSameEvent(core.pop(), reference.pop(), step++, seed);
-        }
-        EXPECT_TRUE(reference.empty());
-    }
-}
-
-TEST(HeapProperty, LazyCancellationMatchesBinaryHeap)
-{
-    for (std::uint64_t trial = 0; trial < 10; ++trial) {
-        const std::uint64_t seed = 0xfeed0000 + trial;
-        Rng rng(seed);
-        EventCore<TestKind> core;
-        BinaryHeapReference reference;
-
-        std::vector<EventHandle> handles;
-        for (std::size_t i = 0; i < 500; ++i) {
-            const auto time_us = static_cast<TimeUs>(rng.uniformInt(40));
-            const EventLane lane = rng.uniformInt(6) == 0
-                ? EventLane::Failure
-                : EventLane::Normal;
-            handles.push_back(
-                core.schedule(time_us, TestKind::Tick, i, 0, lane));
-            reference.schedule(time_us, lane, i);
-        }
-        // Cancel a random third of the pending events (some picks repeat
-        // — the second cancel of a seq must report false in both).
-        for (std::size_t i = 0; i < handles.size() / 3; ++i) {
-            const std::size_t pick = rng.uniformInt(handles.size());
-            const bool core_cancelled = core.cancel(handles[pick]);
-            const bool reference_cancelled =
-                reference.cancel(handles[pick].seq);
-            EXPECT_EQ(core_cancelled, reference_cancelled)
-                << "cancel of seq " << handles[pick].seq << " in trial "
-                << seed;
-        }
-
-        std::size_t step = 0;
         while (!core.empty()) {
             ASSERT_FALSE(reference.empty());
             expectSameEvent(core.pop(), reference.pop(), step++, seed);

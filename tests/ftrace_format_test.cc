@@ -24,7 +24,7 @@
 #include "trace/patterns.h"
 #include "trace/trace.h"
 #include "util/checkpoint_journal.h"
-#include "util/journal_mutator.h"
+#include "support/journal_mutator.h"
 #include "util/rng.h"
 
 namespace faascache {

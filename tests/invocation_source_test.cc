@@ -216,35 +216,46 @@ TEST(Samplers, StreamingIdsMatchMaterializedSamples)
         sampleRandom(pop, 40, 7));
 }
 
-TEST(GeneratedSources, PoissonMatchesMaterializedGenerator)
-{
-    std::vector<FunctionSpec> specs;
-    std::vector<TimeUs> iats;
-    for (FunctionId id = 0; id < 8; ++id) {
-        specs.push_back(makeFunction(id, "g" + std::to_string(id), 128.0,
-                                     fromMillis(50), fromMillis(300)));
-        iats.push_back(fromSeconds(1 + id % 3));
-    }
-    const Trace want =
-        makePoissonTrace(specs, iats, 2 * kMinute, 99, "poisson-gen");
-    const auto source =
-        makePoissonSource(specs, iats, 2 * kMinute, 99, "poisson-gen");
-    EXPECT_TRUE(source->countHint().exact);
-    EXPECT_EQ(source->countHint().count, want.invocations().size());
-    expectTracesEqual(materializeSource(*source), want);
-}
-
 TEST(GeneratedSources, AzureMatchesMaterializedGenerator)
 {
-    AzureModelConfig config;
-    config.seed = 23;
-    config.num_functions = 120;
-    config.duration_us = 20 * kMinute;
-    config.iat_median_sec = 15.0;
-    const Trace want = generateAzureTrace(config);
-    const auto source = makeAzureSource(config);
-    EXPECT_EQ(source->countHint().count, want.invocations().size());
-    expectTracesEqual(materializeSource(*source), want);
+    struct Row
+    {
+        const char* label;
+        bool diurnal;
+        bool drop_single;
+        double iat_median_sec;
+    };
+    // Busy and single-invocation minutes, flat and diurnal cells, the
+    // drop-single filter on and off, and a catalog it mostly empties.
+    const Row rows[] = {
+        {"flat", false, true, 15.0},
+        {"diurnal", true, true, 15.0},
+        {"keep-single", false, false, 15.0},
+        {"sparse", false, true, 7200.0},
+    };
+    for (const Row& row : rows) {
+        SCOPED_TRACE(row.label);
+        AzureModelConfig config;
+        config.seed = 23;
+        config.num_functions = 120;
+        config.duration_us = 20 * kMinute;
+        config.iat_median_sec = row.iat_median_sec;
+        config.diurnal = row.diurnal;
+        config.diurnal_peak_to_mean = 3.0;
+        config.diurnal_period_us = 10 * kMinute;
+        config.drop_single_invocation_functions = row.drop_single;
+        const Trace want = generateAzureTrace(config);
+        if (!row.drop_single) {
+            EXPECT_EQ(want.functions().size(), config.num_functions);
+        }
+        if (row.iat_median_sec > 600.0) {
+            EXPECT_LT(want.functions().size(), config.num_functions / 2);
+        }
+        const auto source = makeAzureSource(config);
+        EXPECT_TRUE(source->countHint().exact);
+        EXPECT_EQ(source->countHint().count, want.invocations().size());
+        expectTracesEqual(materializeSource(*source), want);
+    }
 }
 
 TEST(Fingerprints, SourceFingerprintEqualsTraceFingerprint)

@@ -5,6 +5,7 @@
 #include "analysis/hit_ratio_curve.h"
 #include "analysis/reuse_distance.h"
 #include "analysis/shards.h"
+#include "support/reuse_distance_naive.h"
 #include "trace/azure_model.h"
 #include "util/rng.h"
 

@@ -249,7 +249,6 @@ denseFlatConfig()
 // generators with each other, so a change that shifts both alike passes
 // it; these digests catch that.
 constexpr std::uint64_t kSparseDiurnalDigest = 0x4829cbf0e68d61f9ULL;
-constexpr std::uint64_t kSparseDiurnalPartitionDigest = 0x14a4a89d70af4093ULL;
 constexpr std::uint64_t kDenseFlatDigest = 0x02266ea65277460fULL;
 
 TEST(AzureModel, SparseDiurnalBytesArePinned)
@@ -259,9 +258,6 @@ TEST(AzureModel, SparseDiurnalBytesArePinned)
               kSparseDiurnalDigest);
     EXPECT_EQ(sourceFingerprint(*makeAzureSource(config)),
               kSparseDiurnalDigest);
-    auto part = makeAzureSource(
-        config, [](FunctionId id) { return id % 3 == 1; });
-    EXPECT_EQ(sourceFingerprint(*part), kSparseDiurnalPartitionDigest);
 }
 
 TEST(AzureModel, DenseFlatBytesArePinned)
